@@ -1,8 +1,10 @@
 // google-benchmark micro benchmarks for the hot paths: FFT (cached vs
 // uncached plans, complex vs real-input), sliding correlation (naive vs
 // FFT — the TDE ablation), one DWM window step, the steady-state DWM
-// streaming loop, spectrogram columns, FastDTW, and end-to-end dataset
-// generation across runtime pool sizes.
+// streaming loop, spectrogram columns, FastDTW, the CRC-32 over wire
+// frames and checkpoints, and end-to-end dataset generation across
+// runtime pool sizes (timed in wall-clock time, since the work runs on
+// pool threads).
 //
 // Accepts `--json <path>` in addition to the standard benchmark flags:
 // shorthand for --benchmark_out=<path> --benchmark_out_format=json, used
@@ -17,6 +19,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -34,6 +37,7 @@
 #include "eval/dataset.hpp"
 #include "eval/setup.hpp"
 #include "runtime/thread_pool.hpp"
+#include "signal/checkpoint.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
 
@@ -157,9 +161,9 @@ void BM_CrossCorrelateRfft(benchmark::State& state) {
     dsp::cross_correlate_valid_into(x, y, out, ws);
     benchmark::DoNotOptimize(out);
   }
-  // Two forward rffts + one inverse on the padded size, plus the bin
-  // product (6 flops per complex multiply).
-  const std::size_t m = dsp::next_power_of_two(x.size() + y.size());
+  // Two forward rffts + one inverse on the valid-lag padded size, plus
+  // the bin product (6 flops per complex multiply).
+  const std::size_t m = dsp::valid_lag_fft_size(x.size());
   set_roofline(state, 3.0 * rfft_flops(m) + 6.0 * static_cast<double>(m / 2 + 1),
                static_cast<double>((x.size() + y.size() + out.size()) * 8));
 }
@@ -211,7 +215,7 @@ void BM_SlidingPearsonFft(benchmark::State& state) {
   }
   // Correlation transforms + centering (2 flops/sample), prefix sums
   // (3 flops/sample) and the normalization epilogue (~8 flops/window).
-  const std::size_t m = dsp::next_power_of_two(x.size() + y.size());
+  const std::size_t m = dsp::valid_lag_fft_size(x.size());
   const std::size_t n_out = x.size() - y.size() + 1;
   set_roofline(state,
                3.0 * rfft_flops(m) + 6.0 * static_cast<double>(m / 2 + 1) +
@@ -232,7 +236,7 @@ void BM_SlidingPearsonFftInto(benchmark::State& state) {
     dsp::sliding_pearson_fft_into(x, y, out, ws);
     benchmark::DoNotOptimize(out);
   }
-  const std::size_t m = dsp::next_power_of_two(x.size() + y.size());
+  const std::size_t m = dsp::valid_lag_fft_size(x.size());
   set_roofline(state,
                3.0 * rfft_flops(m) + 6.0 * static_cast<double>(m / 2 + 1) +
                    5.0 * static_cast<double>(x.size()) +
@@ -242,10 +246,11 @@ void BM_SlidingPearsonFftInto(benchmark::State& state) {
 BENCHMARK(BM_SlidingPearsonFftInto)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_BatchedRfft(benchmark::State& state) {
-  // All-channels-in-one-plan transform (the DWM multichannel TDE path),
-  // 6 lanes like a UM3 ACC+AUD roster, lane-interleaved input.
+  // All-channels-in-one-plan transform, lane-interleaved input: 6 lanes
+  // like a UM3 ACC+AUD roster, 2 lanes like the fleet's two-channel
+  // sessions at their TDEB transform sizes.
   const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t lanes = 6;
+  const auto lanes = static_cast<std::size_t>(state.range(1));
   const auto x = random_series(n * lanes, 9);
   dsp::BatchedRfftPlan plan(n, lanes);
   std::vector<double> sre(plan.bins() * lanes);
@@ -260,7 +265,27 @@ void BM_BatchedRfft(benchmark::State& state) {
   set_roofline(state, static_cast<double>(lanes) * rfft_flops(n),
                static_cast<double>(lanes * (n * 8 + (n / 2 + 1) * 16)));
 }
-BENCHMARK(BM_BatchedRfft)->Arg(1024)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_BatchedRfft)
+    ->ArgNames({"n", "lanes"})
+    ->Args({1024, 6})
+    ->Args({4096, 6})
+    ->Args({16384, 6})
+    ->Args({128, 2})
+    ->Args({256, 2});
+
+void BM_Crc32(benchmark::State& state) {
+  // The checksum over every NSFP frame payload and checkpoint.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> bytes(n);
+  signal::Rng rng(23);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (auto _ : state) {
+    auto crc = signal::crc32(bytes.data(), bytes.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(65536);
 
 void BM_TdebEpilogue(benchmark::State& state) {
   // The fused clamp + Gaussian-bias + argmax pass over a score array
@@ -392,7 +417,8 @@ BENCHMARK(BM_DatasetParallel)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

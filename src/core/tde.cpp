@@ -41,7 +41,7 @@ std::span<const double> channel_span(const SignalView& s, std::size_t c,
 // All channels of the FFT sliding correlation through one batched plan.
 //
 // This mirrors sliding_pearson_fft_into channel by channel — same
-// centering, same padded correlation, same prefix-sum normalization,
+// centering, same valid-lag padding, same prefix-sum normalization,
 // same degenerate-template early-out — but runs every transform as one
 // lane-interleaved BatchedRfftPlan pass and every pre/post pass as a
 // row-wise dispatched kernel.  The per-channel operation sequence is
@@ -66,7 +66,7 @@ void similarity_scores_batched(const SignalView& x, const SignalView& y,
   for (auto& v : ws.mu_x) v /= static_cast<double>(nx);
   for (auto& v : ws.mu_y) v /= static_cast<double>(ny);
 
-  const std::size_t m = nsync::dsp::next_power_of_two(nx + ny);
+  const std::size_t m = nsync::dsp::valid_lag_fft_size(nx);
   const std::size_t bins = m / 2 + 1;
   if (!ws.batched.plan || ws.batched.plan->size() != m || ws.batched.plan->lanes() != C) {
     ws.batched.plan = std::make_unique<nsync::dsp::BatchedRfftPlan>(m, C);
@@ -201,9 +201,10 @@ std::size_t estimate_delay_biased(const SignalView& x, const SignalView& y,
   //
   // The exp() weights are the expensive part and depend only on
   // (center, sigma, n_out), so they are cached in the workspace and
-  // reused verbatim while those stay unchanged (static callers; the DWM
-  // moves `center` per window and recomputes, exactly as the old inline
-  // loop did).
+  // reused verbatim while those stay unchanged.  The DWM's center is
+  // n_ext on every window whose extended reference slice is not clamped
+  // at either end of the reference, so its steady state hits the cache;
+  // a clamped window changes center or n_out and recomputes.
   const std::size_t n_out = scores.size();
   if (ws.bias_w.size() != n_out || ws.bias_center != center ||
       ws.bias_sigma != sigma_samples) {

@@ -79,7 +79,8 @@ struct TdeWorkspace {
   std::vector<double> ps2;  ///< per-channel prefix sums of squares
 
   // TDEB Gaussian weight cache: reused verbatim while (center, sigma,
-  // n_out) are unchanged (static callers); recomputed otherwise.
+  // n_out) are unchanged (static callers and the DWM's unclamped
+  // windows); recomputed otherwise.
   std::vector<double> bias_w;
   double bias_center = 0.0;
   double bias_sigma = 0.0;

@@ -69,6 +69,14 @@ bool BatchedRfftPlan::supports_inverse() const {
   return mode_ == Mode::kPow2 || mode_ == Mode::kOne;
 }
 
+// Work-plane row that packed row k lands in.  The power-of-two mode
+// writes straight into the radix-2 bit-reversed order, so its transform
+// skips the separate permutation pass; Bluestein modes pack in natural
+// order because the chirp multiply runs before their transform.
+std::size_t BatchedRfftPlan::pack_row(std::size_t k) const {
+  return mode_ == Mode::kPow2 ? half_plan_->bitrev[k] : k;
+}
+
 // Packs channel-major input (lane l at x + l * in_stride) into the split
 // work planes: the half-size complex trick's z_k = x_{2k} + i * x_{2k+1}
 // for even n, a zero-imaginary copy for odd n.  Bluestein modes zero the
@@ -86,8 +94,9 @@ void BatchedRfftPlan::pack_strided(const double* x, std::size_t in_stride) {
     return;
   }
   for (std::size_t k = 0; k < h_; ++k) {
-    double* wr = work_re_.data() + k * lanes_;
-    double* wi = work_im_.data() + k * lanes_;
+    const std::size_t row = pack_row(k) * lanes_;
+    double* wr = work_re_.data() + row;
+    double* wi = work_im_.data() + row;
     for (std::size_t l = 0; l < lanes_; ++l) {
       wr[l] = x[l * in_stride + 2 * k];
       wi[l] = x[l * in_stride + 2 * k + 1];
@@ -96,7 +105,7 @@ void BatchedRfftPlan::pack_strided(const double* x, std::size_t in_stride) {
 }
 
 // Same, for lane-interleaved input (sample k of lane l at
-// x[k * lanes + l]): packing is contiguous row copies, no shuffling.
+// x[k * lanes + l]): packing is a straight row-to-row copy, no shuffling.
 void BatchedRfftPlan::pack_interleaved(const double* x) {
   if (mode_ != Mode::kPow2) {
     std::fill(work_re_.begin(), work_re_.end(), 0.0);
@@ -106,11 +115,18 @@ void BatchedRfftPlan::pack_interleaved(const double* x) {
     std::copy_n(x, n_ * lanes_, work_re_.data());
     return;
   }
-  for (std::size_t k = 0; k < h_; ++k) {
-    std::copy_n(x + 2 * k * lanes_, lanes_, work_re_.data() + k * lanes_);
-    std::copy_n(x + (2 * k + 1) * lanes_, lanes_,
-                work_im_.data() + k * lanes_);
-  }
+  detail::for_lane_count(lanes_, [&](auto nl) {
+    for (std::size_t k = 0; k < h_; ++k) {
+      const double* even = x + 2 * k * nl;
+      const double* odd = even + nl;
+      double* wr = work_re_.data() + pack_row(k) * nl;
+      double* wi = work_im_.data() + pack_row(k) * nl;
+      for (std::size_t l = 0; l < nl; ++l) {
+        wr[l] = even[l];
+        wi[l] = odd[l];
+      }
+    }
+  });
 }
 
 // Batched Bluestein convolution over the work planes: the first
@@ -157,10 +173,10 @@ void BatchedRfftPlan::forward_core(double* spec_re, double* spec_im) {
     case Mode::kOne:
       return;  // handled by the callers
     case Mode::kPow2:
+      // The pack already left the rows in bit-reversed order.
       if (h_ > 1) {
-        detail::run_radix2_split_batch(work_re_.data(), work_im_.data(),
-                                       lanes_, *half_plan_,
-                                       /*inverse=*/false);
+        detail::radix2_stages_batch(work_re_.data(), work_im_.data(), lanes_,
+                                    *half_plan_, /*inverse=*/false);
       }
       untangle_even(spec_re, spec_im);
       return;
@@ -245,11 +261,18 @@ void BatchedRfftPlan::inverse_interleaved(const double* spec_re,
     return;
   }
   inverse_core(spec_re, spec_im);
-  for (std::size_t k = 0; k < h_; ++k) {
-    std::copy_n(work_re_.data() + k * lanes_, lanes_, out + 2 * k * lanes_);
-    std::copy_n(work_im_.data() + k * lanes_, lanes_,
-                out + (2 * k + 1) * lanes_);
-  }
+  detail::for_lane_count(lanes_, [&](auto nl) {
+    for (std::size_t k = 0; k < h_; ++k) {
+      const double* wr = work_re_.data() + k * nl;
+      const double* wi = work_im_.data() + k * nl;
+      double* even = out + 2 * k * nl;
+      double* odd = even + nl;
+      for (std::size_t l = 0; l < nl; ++l) {
+        even[l] = wr[l];
+        odd[l] = wi[l];
+      }
+    }
+  });
 }
 
 }  // namespace nsync::dsp

@@ -81,6 +81,7 @@ class BatchedRfftPlan {
  private:
   enum class Mode { kOne, kPow2, kEvenBluestein, kOddBluestein };
 
+  [[nodiscard]] std::size_t pack_row(std::size_t k) const;
   void pack_strided(const double* x, std::size_t in_stride);
   void pack_interleaved(const double* x);
   void forward_core(double* spec_re, double* spec_im);

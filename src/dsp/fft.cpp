@@ -251,38 +251,52 @@ std::shared_ptr<const BluesteinPlan> get_bluestein_plan(std::size_t n,
 
 void run_radix2_split(double* re, double* im, const Radix2Plan& plan,
                       bool inverse) {
+  run_radix2_split_batch(re, im, 1, plan, inverse);
+}
+
+namespace {
+
+void bitrev_rows(double* re, double* im, std::size_t lanes,
+                 const Radix2Plan& plan) {
   const std::size_t n = plan.n;
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t j = plan.bitrev[i];
-    if (i < j) {
-      std::swap(re[i], re[j]);
-      std::swap(im[i], im[j]);
+  for_lane_count(lanes, [&](auto nl) {
+    for (std::size_t i = 1; i < n; ++i) {
+      const std::size_t j = plan.bitrev[i];
+      if (i < j) {
+        for (std::size_t l = 0; l < nl; ++l) {
+          std::swap(re[i * nl + l], re[j * nl + l]);
+          std::swap(im[i * nl + l], im[j * nl + l]);
+        }
+      }
     }
-  }
+  });
+}
+
+}  // namespace
+
+void radix2_stages_batch(double* re, double* im, std::size_t lanes,
+                         const Radix2Plan& plan, bool inverse) {
+  const std::size_t n = plan.n;
   const auto& k = simd::ops();
   for (std::size_t len = 2; len <= n; len <<= 1) {
-    k.radix2_pass(re, im, n, len, plan.stage_twr(len), plan.stage_twi(len),
-                  inverse);
+    // One lane is the single-signal layout, where the single-signal
+    // kernel vectorises along the butterfly rows rather than across a
+    // lone lane; the per-element arithmetic is the same.
+    if (lanes == 1) {
+      k.radix2_pass(re, im, n, len, plan.stage_twr(len), plan.stage_twi(len),
+                    inverse);
+    } else {
+      k.radix2_pass_batch(re, im, n, lanes, len, plan.stage_twr(len),
+                          plan.stage_twi(len), inverse);
+    }
   }
-  if (inverse) k.divide2(re, im, n, static_cast<double>(n));
+  if (inverse) k.divide2(re, im, n * lanes, static_cast<double>(n));
 }
 
 void run_radix2_split_batch(double* re, double* im, std::size_t lanes,
                             const Radix2Plan& plan, bool inverse) {
-  const std::size_t n = plan.n;
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t j = plan.bitrev[i];
-    if (i < j) {
-      std::swap_ranges(re + i * lanes, re + (i + 1) * lanes, re + j * lanes);
-      std::swap_ranges(im + i * lanes, im + (i + 1) * lanes, im + j * lanes);
-    }
-  }
-  const auto& k = simd::ops();
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    k.radix2_pass_batch(re, im, n, lanes, len, plan.stage_twr(len),
-                        plan.stage_twi(len), inverse);
-  }
-  if (inverse) k.divide2(re, im, n * lanes, static_cast<double>(n));
+  bitrev_rows(re, im, lanes, plan);
+  radix2_stages_batch(re, im, lanes, plan, inverse);
 }
 
 // ---------------------------------------------------------------------------
@@ -333,6 +347,12 @@ std::size_t next_power_of_two(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
   return p;
+}
+
+std::size_t valid_lag_fft_size(std::size_t nx) {
+  // The floor of 2 keeps the real transform's half-size plan
+  // non-degenerate for a one-sample signal.
+  return next_power_of_two(std::max<std::size_t>(nx, 2));
 }
 
 void fft_radix2(std::span<Complex> data, bool inverse) {
@@ -530,7 +550,7 @@ void cross_correlate_valid_into(std::span<const double> x,
         "cross_correlate_valid_into: out.size() must be "
         "x.size() - y.size() + 1");
   }
-  const std::size_t m = next_power_of_two(nx + ny);
+  const std::size_t m = valid_lag_fft_size(nx);
   const std::size_t h = m / 2;
   const auto plan = plan_cache().rfft(m);
   ws.x_pad.resize(m);

@@ -85,11 +85,21 @@ struct CorrelationWorkspace {
   std::vector<double> half_im;   ///< half-size staging plane (imag)
 };
 
+/// Padded transform size for a valid-lag correlation of an nx-sample
+/// signal with a template of ny <= nx samples: the smallest power of two
+/// >= nx (and >= 2).  Correlating via a circular transform of period m
+/// puts linear lag index j at j mod m; the linear result spans indices
+/// 0 .. nx+ny-2 and the valid lags are ny-1 .. nx-1, so only indices
+/// >= m can wrap, and they land at <= nx+ny-2-m < ny-1 whenever m >= nx.
+/// Padding to nx + ny (the full linear length) is never needed.
+[[nodiscard]] std::size_t valid_lag_fft_size(std::size_t nx);
+
 /// Linear cross-correlation of x with y via FFT zero-padding:
 ///   out[k] = sum_n x[n + k] * y[n],  k = 0 .. x.size() - y.size()
 /// Requires x.size() >= y.size().  This is the unnormalized numerator used
 /// by the fast sliding-correlation TDE path.  Runs on the real-FFT
-/// kernels (two rfft + one irfft at half the complex transform size).
+/// kernels (two rfft + one irfft at half the complex transform size),
+/// padded to valid_lag_fft_size(x.size()).
 [[nodiscard]] std::vector<double> cross_correlate_valid(
     std::span<const double> x, std::span<const double> y);
 
@@ -102,9 +112,11 @@ void cross_correlate_valid_into(std::span<const double> x,
                                 std::span<double> out,
                                 CorrelationWorkspace& ws);
 
-/// Pre-rfft reference implementation using two full-size complex FFTs.
-/// Kept for the rfft equivalence tests and the bench_ablation_tde_speed
-/// ablation; prefer cross_correlate_valid.
+/// Pre-rfft reference implementation using two full-size complex FFTs,
+/// padded to the full linear length next_power_of_two(nx + ny) so it stays
+/// independent of the valid-lag padding rule.  Kept for the rfft
+/// equivalence tests and the bench_ablation_tde_speed ablation; prefer
+/// cross_correlate_valid.
 [[nodiscard]] std::vector<double> cross_correlate_valid_complex(
     std::span<const double> x, std::span<const double> y);
 

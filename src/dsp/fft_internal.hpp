@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "dsp/fft.hpp"
@@ -75,9 +76,35 @@ void run_radix2_split(double* re, double* im, const Radix2Plan& plan,
 
 /// Batched variant over lane-interleaved rows: element k of lane l lives
 /// at [k * lanes + l].  Lanes are fully independent, and each lane's
-/// arithmetic is identical to run_radix2_split's.
+/// arithmetic is identical to run_radix2_split's (which runs this at one
+/// lane).  Permutes the rows into bit-reversed order, then runs
+/// radix2_stages_batch.
 void run_radix2_split_batch(double* re, double* im, std::size_t lanes,
                             const Radix2Plan& plan, bool inverse);
+
+/// The butterfly stages (and the 1/n scaling when inverse) of
+/// run_radix2_split_batch, over rows already in bit-reversed order —
+/// for callers that write their input straight into permuted rows.
+void radix2_stages_batch(double* re, double* im, std::size_t lanes,
+                         const Radix2Plan& plan, bool inverse);
+
+/// Calls f(lanes) with the lane count as a compile-time constant for one
+/// and two lanes, where a runtime-length loop (or a memmove call) per
+/// row costs more than the row's data movement, and as a plain size_t
+/// otherwise.
+template <class F>
+void for_lane_count(std::size_t lanes, F&& f) {
+  switch (lanes) {
+    case 1:
+      f(std::integral_constant<std::size_t, 1>{});
+      return;
+    case 2:
+      f(std::integral_constant<std::size_t, 2>{});
+      return;
+    default:
+      f(lanes);
+  }
+}
 
 /// Forward real FFT for the (power-of-two) plan size n = x.size():
 /// half-size pack, complex transform in the split half planes (each

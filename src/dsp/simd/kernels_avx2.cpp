@@ -155,9 +155,87 @@ void radix2_pass(double* re, double* im, std::size_t n, std::size_t len,
   }
 }
 
+namespace {
+
+/// One butterfly on a register of u and v values sharing the per-element
+/// twiddles (wr, wi): the scalar operation sequence, element for element.
+inline void butterfly(__m256d& ur, __m256d& ui, __m256d& vr, __m256d& vi,
+                      __m256d wr, __m256d wi) {
+  const __m256d tr =
+      _mm256_sub_pd(_mm256_mul_pd(vr, wr), _mm256_mul_pd(vi, wi));
+  const __m256d ti =
+      _mm256_add_pd(_mm256_mul_pd(vr, wi), _mm256_mul_pd(vi, wr));
+  vr = _mm256_sub_pd(ur, tr);
+  vi = _mm256_sub_pd(ui, ti);
+  ur = _mm256_add_pd(ur, tr);
+  ui = _mm256_add_pd(ui, ti);
+}
+
+/// radix2_pass_batch for exactly two lanes: a register holds two
+/// consecutive rows [k.l0 k.l1 k+1.l0 k+1.l1], so a 2-lane pass runs at
+/// full width instead of one 128-bit row at a time.
+void radix2_pass_batch2(double* re, double* im, std::size_t n,
+                        std::size_t len, const double* twr, const double* twi,
+                        bool inverse) {
+  const std::size_t half = len / 2;
+  if (len == 2) {
+    // Block i is rows (i, i+1) = [u.l0 u.l1 v.l0 v.l1]; two blocks per
+    // iteration, regrouped into a u register and a v register.
+    const __m256d wr = _mm256_set1_pd(twr[0]);
+    const __m256d wi = _mm256_set1_pd(inverse ? -twi[0] : twi[0]);
+    for (std::size_t i = 0; i < 2 * n; i += 8) {
+      const __m256d a0r = _mm256_loadu_pd(re + i);
+      const __m256d a1r = _mm256_loadu_pd(re + i + 4);
+      const __m256d a0i = _mm256_loadu_pd(im + i);
+      const __m256d a1i = _mm256_loadu_pd(im + i + 4);
+      __m256d ur = _mm256_permute2f128_pd(a0r, a1r, 0x20);
+      __m256d vr = _mm256_permute2f128_pd(a0r, a1r, 0x31);
+      __m256d ui = _mm256_permute2f128_pd(a0i, a1i, 0x20);
+      __m256d vi = _mm256_permute2f128_pd(a0i, a1i, 0x31);
+      butterfly(ur, ui, vr, vi, wr, wi);
+      _mm256_storeu_pd(re + i, _mm256_permute2f128_pd(ur, vr, 0x20));
+      _mm256_storeu_pd(re + i + 4, _mm256_permute2f128_pd(ur, vr, 0x31));
+      _mm256_storeu_pd(im + i, _mm256_permute2f128_pd(ui, vi, 0x20));
+      _mm256_storeu_pd(im + i + 4, _mm256_permute2f128_pd(ui, vi, 0x31));
+    }
+    return;
+  }
+  // len >= 4: half is even, so butterfly rows pair up with no tail; each
+  // twiddle is duplicated across its row's two lanes.
+  for (std::size_t i = 0; i < n; i += len) {
+    for (std::size_t k = 0; k < half; k += 2) {
+      const __m256d wr = _mm256_permute4x64_pd(
+          _mm256_castpd128_pd256(_mm_loadu_pd(twr + k)), 0x50);
+      const __m256d wi = neg_if(
+          _mm256_permute4x64_pd(_mm256_castpd128_pd256(_mm_loadu_pd(twi + k)),
+                                0x50),
+          inverse);
+      double* rea = re + 2 * (i + k);
+      double* ima = im + 2 * (i + k);
+      double* reb = rea + 2 * half;
+      double* imb = ima + 2 * half;
+      __m256d ur = _mm256_loadu_pd(rea);
+      __m256d ui = _mm256_loadu_pd(ima);
+      __m256d vr = _mm256_loadu_pd(reb);
+      __m256d vi = _mm256_loadu_pd(imb);
+      butterfly(ur, ui, vr, vi, wr, wi);
+      _mm256_storeu_pd(rea, ur);
+      _mm256_storeu_pd(ima, ui);
+      _mm256_storeu_pd(reb, vr);
+      _mm256_storeu_pd(imb, vi);
+    }
+  }
+}
+
+}  // namespace
+
 void radix2_pass_batch(double* re, double* im, std::size_t n,
                        std::size_t lanes, std::size_t len, const double* twr,
                        const double* twi, bool inverse) {
+  if (lanes == 2 && n >= 4) {
+    radix2_pass_batch2(re, im, n, len, twr, twi, inverse);
+    return;
+  }
   const std::size_t half = len / 2;
   for (std::size_t i = 0; i < n; i += len) {
     for (std::size_t k = 0; k < half; ++k) {

@@ -46,24 +46,56 @@ std::string checkpoint_error_kind_name(CheckpointErrorKind k) {
   return "checkpoint error";
 }
 
-std::uint32_t crc32(const void* data, std::size_t bytes) {
-  // Table-driven reflected CRC-32 (polynomial 0xEDB88320).  The table is
-  // built once on first use; thread-safe via static-local init.
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
+namespace {
+
+// Slicing-by-8 tables for the reflected CRC-32 (polynomial 0xEDB88320).
+// kCrcTables[0] is the classic byte table; kCrcTables[s][i] is the CRC of
+// byte i followed by s zero bytes, so one lookup per table folds eight
+// input bytes into the register at once.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrcTables = [] {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int b = 0; b < 8; ++b) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    return t;
-  }();
+    t[0][i] = c;
+  }
+  for (std::size_t s = 1; s < 8; ++s) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = t[s - 1][i];
+      t[s][i] = t[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return t;
+}();
+
+/// Bytes p[0..3] as a little-endian word.  The reflected CRC consumes the
+/// lowest-addressed byte first, so it must land in the low bits whatever
+/// the host byte order; compilers lower this to one load on
+/// little-endian targets.
+inline std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+}  // namespace
+
+std::uint32_t crc32(const void* data, std::size_t bytes) {
+  const auto& t = kCrcTables;
   const auto* p = static_cast<const std::uint8_t*>(data);
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; bytes >= 8; p += 8, bytes -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ crc;
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; bytes > 0; ++p, --bytes) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -130,7 +162,11 @@ std::vector<double> ByteReader::f64_array() {
                               " elements exceeds remaining bytes");
   }
   std::vector<double> out(static_cast<std::size_t>(count));
-  std::memcpy(out.data(), data_.data() + pos_, out.size() * sizeof(double));
+  // An empty vector's data() may be null, and memcpy with a null pointer
+  // is undefined even for zero bytes.
+  if (!out.empty()) {
+    std::memcpy(out.data(), data_.data() + pos_, out.size() * sizeof(double));
+  }
   pos_ += out.size() * sizeof(double);
   return out;
 }

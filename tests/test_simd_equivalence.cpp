@@ -315,6 +315,75 @@ TEST(SimdBatched, InverseMatchesPerLaneIrfftBitwise) {
   }
 }
 
+TEST(SimdBatched, NarrowAndOddLaneCountsMatchPerLaneTransformsBitwise) {
+  // Lane counts with their own code paths: one lane (the single-signal
+  // kernels), two lanes (two rows per AVX2 register), and 5 / 6 lanes
+  // (a vector body plus a 2-wide and/or scalar tail).  Forward and
+  // inverse, strided and interleaved entry points, every backend.
+  BackendGuard guard;
+  const auto backends = available_backends();
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 2; n <= 256; n *= 2) sizes.push_back(n);
+  sizes.push_back(16384);
+  for (const std::size_t lanes : {1, 2, 5, 6}) {
+    for (const std::size_t n : sizes) {
+      std::vector<std::vector<double>> lane_data(lanes);
+      std::vector<std::vector<Complex>> lane_bins(lanes);
+      std::vector<double> strided(n * lanes);
+      std::vector<double> inter(n * lanes);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        lane_data[l] = random_vector(n, 0xA000 + n * 8 + l);
+        lane_bins[l] =
+            nsync::dsp::rfft(random_vector(n, 0xA800 + n * 8 + l));
+        for (std::size_t k = 0; k < n; ++k) {
+          strided[l * n + k] = lane_data[l][k];
+          inter[k * lanes + l] = lane_data[l][k];
+        }
+      }
+      for (const simd::Isa isa : backends) {
+        ASSERT_TRUE(simd::set_backend(isa));
+        const std::string where = "lanes=" + std::to_string(lanes) +
+                                  " n=" + std::to_string(n) + " " +
+                                  simd::isa_name(isa);
+        BatchedRfftPlan plan(n, lanes);
+        const std::size_t bins = plan.bins();
+        std::vector<double> sre(bins * lanes), sim(bins * lanes);
+        std::vector<double> sre2(bins * lanes), sim2(bins * lanes);
+        plan.forward(strided.data(), n, sre.data(), sim.data());
+        plan.forward_interleaved(inter.data(), sre2.data(), sim2.data());
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const std::vector<Complex> ref = nsync::dsp::rfft(lane_data[l]);
+          for (std::size_t k = 0; k < bins; ++k) {
+            ASSERT_EQ(sre[k * lanes + l], ref[k].real())
+                << where << " k=" << k;
+            ASSERT_EQ(sim[k * lanes + l], ref[k].imag())
+                << where << " k=" << k;
+          }
+        }
+        ASSERT_EQ(sre2, sre) << where;
+        ASSERT_EQ(sim2, sim) << where;
+
+        for (std::size_t l = 0; l < lanes; ++l) {
+          for (std::size_t k = 0; k < bins; ++k) {
+            sre[k * lanes + l] = lane_bins[l][k].real();
+            sim[k * lanes + l] = lane_bins[l][k].imag();
+          }
+        }
+        std::vector<double> out(n * lanes), out2(n * lanes);
+        plan.inverse(sre.data(), sim.data(), out.data(), n);
+        plan.inverse_interleaved(sre.data(), sim.data(), out2.data());
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const std::vector<double> ref = nsync::dsp::irfft(lane_bins[l], n);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(out[l * n + i], ref[i]) << where << " i=" << i;
+            ASSERT_EQ(out2[i * lanes + l], ref[i]) << where << " i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdBatched, InverseThrowsForNonPow2) {
   BatchedRfftPlan plan(20, 2);
   EXPECT_FALSE(plan.supports_inverse());
@@ -359,6 +428,47 @@ TEST(SimdBatched, MultichannelTdeMatchesSequentialScalarBitwise) {
   ASSERT_EQ(batched.size(), seq.size());
   for (std::size_t n = 0; n < n_out; ++n) {
     EXPECT_EQ(batched[n], seq[n]) << "n=" << n;
+  }
+}
+
+TEST(SimdBatched, MultichannelTdeMatchesPerChannelLoopAtPaddingEdges) {
+  // The batched path and sliding_pearson_fft_into must agree on the
+  // valid-lag transform size at its edges: nx a power of two, nx + ny
+  // crossing one, ny == nx, ny == 2.  Same scalar-backend bitwise claim
+  // as above.
+  BackendGuard guard;
+  ASSERT_TRUE(simd::set_backend(simd::Isa::kScalar));
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {128, 16}, {120, 16}, {100, 60}, {64, 64}, {97, 97}, {256, 2}};
+  for (const std::size_t C : {2, 3}) {
+    for (const auto& [nx, ny] : shapes) {
+      Rng rng(900 + nx + ny + C);
+      Signal x(nx, C, 100.0);
+      Signal y(ny, C, 100.0);
+      for (std::size_t n = 0; n < nx; ++n)
+        for (std::size_t c = 0; c < C; ++c) x(n, c) = rng.normal();
+      for (std::size_t n = 0; n < ny; ++n)
+        for (std::size_t c = 0; c < C; ++c) y(n, c) = rng.normal();
+      const std::vector<double> batched =
+          nsync::core::similarity_scores(SignalView(x), SignalView(y));
+
+      const std::size_t n_out = nx - ny + 1;
+      std::vector<double> seq(n_out, 0.0), chan(n_out);
+      std::vector<double> xc(nx), yc(ny);
+      nsync::dsp::SlidingPearsonWorkspace ws;
+      for (std::size_t c = 0; c < C; ++c) {
+        for (std::size_t n = 0; n < nx; ++n) xc[n] = x(n, c);
+        for (std::size_t n = 0; n < ny; ++n) yc[n] = y(n, c);
+        nsync::dsp::sliding_pearson_fft_into(xc, yc, chan, ws);
+        for (std::size_t n = 0; n < n_out; ++n) seq[n] += chan[n];
+      }
+      for (auto& v : seq) v *= 1.0 / static_cast<double>(C);
+      ASSERT_EQ(batched.size(), n_out);
+      for (std::size_t n = 0; n < n_out; ++n) {
+        EXPECT_EQ(batched[n], seq[n])
+            << "C=" << C << " nx=" << nx << " ny=" << ny << " n=" << n;
+      }
+    }
   }
 }
 

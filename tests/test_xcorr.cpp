@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "dsp/fft.hpp"
 #include "dsp/xcorr.hpp"
 #include "signal/rng.hpp"
 
@@ -95,6 +96,51 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(64, 127, 256, 1000),
                        ::testing::Values(2, 16, 63),
                        ::testing::Values(101, 202)));
+
+// Shapes at the edges of the valid-lag padding rule (transform size
+// valid_lag_fft_size(nx) instead of next_power_of_two(nx + ny)).
+const std::pair<std::size_t, std::size_t> kPaddingShapes[] = {
+    {128, 16},   // nx a power of two: m == nx exactly
+    {64, 63},    // nx a power of two, template almost as long
+    {120, 16},   // nx + ny crosses 128: m halves to 128
+    {100, 60},   // nx + ny crosses 128 with a long template
+    {64, 64},    // ny == nx: a single output lag
+    {97, 97},    // ny == nx, nx not a power of two
+    {2, 2},      // smallest valid shape
+    {256, 2},    // ny == 2
+    {129, 2},    // ny == 2, nx one past a power of two
+};
+
+TEST(XcorrEquivalence, ValidLagPaddingShapesMatchNaive) {
+  for (const auto& [nx, ny] : kPaddingShapes) {
+    const auto x = random_series(nx, 501 + nx + ny);
+    const auto y = random_series(ny, 502 + nx + ny);
+    const auto naive = sliding_pearson_naive(x, y);
+    const auto fft = sliding_pearson_fft(x, y);
+    ASSERT_EQ(naive.size(), nx - ny + 1);
+    ASSERT_EQ(fft.size(), naive.size());
+    for (std::size_t n = 0; n < naive.size(); ++n) {
+      EXPECT_NEAR(naive[n], fft[n], 1e-6)
+          << "nx " << nx << " ny " << ny << " lag " << n;
+    }
+  }
+}
+
+TEST(XcorrEquivalence, ValidLagPaddingMatchesFullPaddingOracle) {
+  // cross_correlate_valid_complex keeps the full nx + ny padding, so it
+  // shares no transform size with the production path at these shapes.
+  for (const auto& [nx, ny] : kPaddingShapes) {
+    const auto x = random_series(nx, 601 + nx + ny);
+    const auto y = random_series(ny, 602 + nx + ny);
+    const auto got = cross_correlate_valid(x, y);
+    const auto ref = cross_correlate_valid_complex(x, y);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t n = 0; n < ref.size(); ++n) {
+      EXPECT_NEAR(got[n], ref[n], 1e-9 * static_cast<double>(ny))
+          << "nx " << nx << " ny " << ny << " lag " << n;
+    }
+  }
+}
 
 TEST(XcorrEquivalence, RfftPathMatchesComplexPath) {
   // Production real-FFT path vs the pre-rfft full-complex implementation.
