@@ -9,9 +9,10 @@
 //   write     — serialize + CRC framing + atomic tmp/fsync/rename replace
 //   restore   — rebuild the entire fleet from the file
 //
-// The interesting quantity is overhead per poll round: with the default
-// policy (checkpoint every poll) the write cost is paid on every round, so
-// it must stay small against the window-processing work itself.
+// The interesting quantity is overhead per drain round: a ShardedFleet
+// with a checkpoint directory writes each shard's file once per drain
+// round, so the write cost is paid on every round and must stay small
+// against the window-processing work itself.
 //
 // Flags: --sessions a,b,c  session counts to sweep (default 1,8,32)
 //        --frames n        observed frames per channel (default 6144)
@@ -29,12 +30,12 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/nsync.hpp"
 #include "engine/monitor_engine.hpp"
 #include "eval/table.hpp"
-#include "runtime/thread_pool.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
 
@@ -151,10 +152,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--json") {
       json_path = next();
     } else if (arg == "--threads") {
-      // Accepted for run_benches.sh uniformity; poll() runs on the shared
-      // pool, so the worker count shapes the streamed-halfway setup only.
-      nsync::runtime::set_worker_count(
-          static_cast<std::size_t>(std::stoul(next())));
+      // Accepted for run_benches.sh uniformity; the engine drains serially
+      // on this thread, so there is no pool to size.
+      (void)next();
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0]
                 << " [--sessions a,b,c] [--frames n] [--reps n]"
@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
                  signal::SignalView(sig).slice(0, sig.frames() / 2));
       }
     }
-    windows += eng.poll();
+    windows += eng.poll_inline();
 
     Result r;
     r.sessions = n_sessions;
@@ -239,13 +239,15 @@ int main(int argc, char** argv) {
   std::remove(path.c_str());
   table.print(std::cout);
   std::cout << "\n(Write ms is the full atomic protocol — serialize, CRC,\n"
-               " tmp file, fsync, rename — i.e. the per-poll overhead of\n"
-               " the checkpoint_every_polls=1 policy)\n";
+               " tmp file, fsync, rename — i.e. what a checkpointing fleet\n"
+               " pays per shard on every drain round)\n";
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
-    out << "{\n  \"benchmark\": \"checkpoint\",\n  \"frames_per_channel\": "
-        << frames_per_channel << ",\n  \"results\": [\n";
+    out << "{\n  \"benchmark\": \"checkpoint\",\n  \"hardware_concurrency\": "
+        << std::thread::hardware_concurrency() << ",\n  \"reps\": " << reps
+        << ",\n  \"frames_per_channel\": " << frames_per_channel
+        << ",\n  \"results\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
       const Result& r = results[i];
       out << "    {\"sessions\": " << r.sessions

@@ -1,14 +1,14 @@
 // Extension experiment (beyond the paper): multi-session fleet throughput
-// — single MonitorEngine vs the sharded multi-core fleet.
+// — one serial MonitorEngine vs the sharded multi-core fleet.
 //
 // Simulates a fleet of concurrent print-monitoring sessions — each with
 // two side channels streaming frames in acquisition-sized chunks — and
 // measures aggregate windows/sec as the session count and the shard count
-// vary.  Shard count 0 is the in-process baseline (one MonitorEngine,
-// poll() on the shared pool); shard counts >= 1 run the ShardedFleet,
-// where each shard owns a private engine on a dedicated worker thread fed
-// through a bounded MPSC queue.  Per-session verdicts are bitwise
-// identical across all shard counts (pinned by tests/
+// vary.  Shard count 0 is the serial baseline (one MonitorEngine drained
+// by poll_inline() on the feeding thread); shard counts >= 1 run the
+// ShardedFleet, where each shard owns a private engine on a dedicated
+// worker thread fed through a bounded MPSC queue.  Per-session verdicts
+// are bitwise identical across all shard counts (pinned by tests/
 // test_sharded_fleet.cpp), so the sweep measures pure scheduling.
 // Sharded rows also report the fleet's p50/p99 feed→verdict latency from
 // the per-shard log2 histograms.
@@ -20,7 +20,6 @@
 // Flags: --sessions a,b,c  session counts to sweep (default 1,8,32)
 //        --shards a,b,c    shard counts to sweep (default 0,1,2,4;
 //                          0 = unsharded MonitorEngine baseline)
-//        --threads n       thread-pool size for the baseline (default auto)
 //        --frames n        observed frames per channel (default 12288)
 //        --chunk n         frames per feed() call (default 256)
 //        --no-saturation   skip the load-shed section
@@ -42,7 +41,6 @@
 #include "engine/monitor_engine.hpp"
 #include "engine/sharded_fleet.hpp"
 #include "eval/table.hpp"
-#include "runtime/thread_pool.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
 
@@ -143,7 +141,7 @@ struct Result {
   }
 };
 
-/// Unsharded baseline: feed + poll on one MonitorEngine.
+/// Unsharded baseline: feed + poll_inline on one MonitorEngine.
 Result run_baseline(const Fixture& fx,
                     const std::vector<std::vector<Signal>>& streams,
                     std::size_t chunk) {
@@ -166,7 +164,7 @@ Result run_baseline(const Fixture& fx,
         if (hi < sig.frames()) more = true;
       }
     }
-    windows += eng.poll();
+    windows += eng.poll_inline();
   }
   const auto t1 = std::chrono::steady_clock::now();
 
@@ -235,9 +233,8 @@ std::vector<std::size_t> parse_list(const std::string& s) {
   return out;
 }
 
-void emit_json(const std::string& path, std::size_t pool,
-               std::size_t frames_per_channel, std::size_t chunk,
-               const std::vector<Result>& scaling,
+void emit_json(const std::string& path, std::size_t frames_per_channel,
+               std::size_t chunk, const std::vector<Result>& scaling,
                const std::vector<Result>& saturation) {
   const auto emit = [](std::ofstream& out, const std::vector<Result>& rs) {
     for (std::size_t i = 0; i < rs.size(); ++i) {
@@ -251,8 +248,7 @@ void emit_json(const std::string& path, std::size_t pool,
     }
   };
   std::ofstream out(path);
-  out << "{\n  \"benchmark\": \"fleet\",\n  \"threads\": " << pool
-      << ",\n  \"hardware_concurrency\": "
+  out << "{\n  \"benchmark\": \"fleet\",\n  \"hardware_concurrency\": "
       << std::thread::hardware_concurrency()
       << ",\n  \"frames_per_channel\": " << frames_per_channel
       << ",\n  \"chunk\": " << chunk << ",\n  \"scaling\": [\n";
@@ -268,7 +264,6 @@ void emit_json(const std::string& path, std::size_t pool,
 int main(int argc, char** argv) {
   std::vector<std::size_t> session_counts = {1, 8, 32};
   std::vector<std::size_t> shard_counts = {0, 1, 2, 4};
-  std::size_t threads = 0;
   std::size_t frames_per_channel = 12288;
   std::size_t chunk = 256;
   bool saturation_section = true;
@@ -288,7 +283,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--shards") {
       shard_counts = parse_list(next());
     } else if (arg == "--threads") {
-      threads = static_cast<std::size_t>(std::stoul(next()));
+      // Accepted for run_benches.sh uniformity; every engine drains
+      // serially on its own thread, so there is no pool to size.
+      (void)next();
     } else if (arg == "--frames") {
       frames_per_channel = static_cast<std::size_t>(std::stoul(next()));
     } else if (arg == "--chunk") {
@@ -308,11 +305,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (threads > 0) runtime::set_worker_count(threads);
-  const std::size_t pool = runtime::worker_count();
-
   std::cout << "EXTENSION: sharded fleet multi-session throughput\n"
-            << "(pool=" << pool << " threads, hardware_concurrency="
+            << "(hardware_concurrency="
             << std::thread::hardware_concurrency() << ", "
             << frames_per_channel << " frames/channel, chunk=" << chunk
             << ")\n\n";
@@ -379,7 +373,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   std::cout << "\n(benign streams: Alarms should be 0; \"base\" is the\n"
-               " unsharded MonitorEngine; aggregate windows/sec should\n"
+               " serial MonitorEngine; aggregate windows/sec should\n"
                " grow with shard count until the physical core count is\n"
                " reached — on a single-core host all rows are flat)\n";
 
@@ -420,7 +414,7 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    emit_json(json_path, pool, frames_per_channel, chunk, scaling, saturation);
+    emit_json(json_path, frames_per_channel, chunk, scaling, saturation);
   }
   return 0;
 }

@@ -6,8 +6,9 @@
 // connect as clients and drive admission, frame ingest, stats polling and
 // eviction over the wire; all detection runs here, on the shard workers.
 //
-// Crash safety: with --checkpoint <dir> every shard periodically writes
-// `<dir>/fleet.<shard>.nckp` and admissions/evictions checkpoint
+// Crash safety: with --checkpoint <dir> every shard writes
+// `<dir>/fleet.<shard>.nckp` after each drain round (so an eviction is
+// durable by the end of its round) and admissions checkpoint
 // synchronously.  After a SIGKILL, relaunching with --resume restores the
 // whole fleet; clients re-connect, read each channel's frames_fed offset
 // from POLL_STATS and resume their streams — final verdicts are bitwise
@@ -36,6 +37,9 @@
 // transport counters (accepted / busy-rejected / accept errors / idle
 // reaped / write timeouts) are printed at shutdown.
 //
+// A malformed numeric flag (or a --tcp port above 65535) exits with code
+// 2 and names the flag.
+//
 //   ./fleet_daemon --listen <uds-path> [--tcp <port>] [--shards N]
 //                  [--checkpoint <dir>] [--resume] [--baseline-dir <dir>]
 //                  [--policy block|drop-oldest|reject] [--queue-frames N]
@@ -46,13 +50,16 @@
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "core/fusion.hpp"
 #include "engine/fleet_server.hpp"
 #include "engine/sharded_fleet.hpp"
+#include "eval/options.hpp"
 #include "signal/checkpoint.hpp"
 
 using namespace nsync;
@@ -81,46 +88,55 @@ int main(int argc, char** argv) {
   std::uint32_t write_timeout_ms = 0;
   std::size_t max_conns = 0;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--listen" && i + 1 < argc) {
-      uds_path = argv[++i];
-    } else if (arg == "--tcp" && i + 1 < argc) {
-      tcp_port = static_cast<std::uint16_t>(std::stoul(argv[++i]));
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg == "--checkpoint" && i + 1 < argc) {
-      checkpoint_dir = argv[++i];
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (arg == "--baseline-dir" && i + 1 < argc) {
-      baseline_dir = argv[++i];
-    } else if (arg == "--policy" && i + 1 < argc) {
-      policy = argv[++i];
-    } else if (arg == "--fusion" && i + 1 < argc) {
-      fusion = argv[++i];
-    } else if (arg == "--queue-frames" && i + 1 < argc) {
-      queue_frames = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg == "--idle-timeout-ms" && i + 1 < argc) {
-      idle_timeout_ms = static_cast<std::uint32_t>(std::stoul(argv[++i]));
-    } else if (arg == "--write-timeout-ms" && i + 1 < argc) {
-      write_timeout_ms = static_cast<std::uint32_t>(std::stoul(argv[++i]));
-    } else if (arg == "--max-conns" && i + 1 < argc) {
-      max_conns = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: fleet_daemon --listen <uds-path> [--tcp <port>]"
-                << " [--shards N] [--checkpoint <dir>] [--resume]"
-                << " [--baseline-dir <dir>]"
-                << " [--policy block|drop-oldest|reject] [--queue-frames N]"
-                << " [--fusion any|majority|all|weighted]"
-                << " [--idle-timeout-ms N] [--write-timeout-ms N]"
-                << " [--max-conns N]\n";
-      return 0;
-    } else {
-      std::cerr << "fleet_daemon: unknown argument " << arg
-                << " (see --help)\n";
-      return 2;
+  constexpr std::uint32_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--listen" && i + 1 < argc) {
+        uds_path = argv[++i];
+      } else if (arg == "--tcp" && i + 1 < argc) {
+        tcp_port = static_cast<std::uint16_t>(eval::parse_u64(
+            arg, argv[++i], std::numeric_limits<std::uint16_t>::max()));
+      } else if (arg == "--shards" && i + 1 < argc) {
+        shards = eval::parse_u64(arg, argv[++i]);
+      } else if (arg == "--checkpoint" && i + 1 < argc) {
+        checkpoint_dir = argv[++i];
+      } else if (arg == "--resume") {
+        resume = true;
+      } else if (arg == "--baseline-dir" && i + 1 < argc) {
+        baseline_dir = argv[++i];
+      } else if (arg == "--policy" && i + 1 < argc) {
+        policy = argv[++i];
+      } else if (arg == "--fusion" && i + 1 < argc) {
+        fusion = argv[++i];
+      } else if (arg == "--queue-frames" && i + 1 < argc) {
+        queue_frames = eval::parse_u64(arg, argv[++i]);
+      } else if (arg == "--idle-timeout-ms" && i + 1 < argc) {
+        idle_timeout_ms = static_cast<std::uint32_t>(
+            eval::parse_u64(arg, argv[++i], kMaxU32));
+      } else if (arg == "--write-timeout-ms" && i + 1 < argc) {
+        write_timeout_ms = static_cast<std::uint32_t>(
+            eval::parse_u64(arg, argv[++i], kMaxU32));
+      } else if (arg == "--max-conns" && i + 1 < argc) {
+        max_conns = eval::parse_u64(arg, argv[++i]);
+      } else if (arg == "--help" || arg == "-h") {
+        std::cout << "usage: fleet_daemon --listen <uds-path> [--tcp <port>]"
+                  << " [--shards N] [--checkpoint <dir>] [--resume]"
+                  << " [--baseline-dir <dir>]"
+                  << " [--policy block|drop-oldest|reject] [--queue-frames N]"
+                  << " [--fusion any|majority|all|weighted]"
+                  << " [--idle-timeout-ms N] [--write-timeout-ms N]"
+                  << " [--max-conns N]\n";
+        return 0;
+      } else {
+        std::cerr << "fleet_daemon: unknown argument " << arg
+                  << " (see --help)\n";
+        return 2;
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "fleet_daemon: " << e.what() << "\n";
+    return 2;
   }
   if (uds_path.empty() && tcp_port == 0) {
     std::cerr << "fleet_daemon: --listen <uds-path> or --tcp <port> is "
@@ -148,7 +164,6 @@ int main(int argc, char** argv) {
   if (!checkpoint_dir.empty()) {
     std::filesystem::create_directories(checkpoint_dir);
     fopts.checkpoint_dir = checkpoint_dir;
-    fopts.checkpoint_every_polls = 1;
   }
   if (!baseline_dir.empty()) {
     std::filesystem::create_directories(baseline_dir);

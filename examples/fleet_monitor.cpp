@@ -1,15 +1,17 @@
 // Fleet monitoring quickstart: several printers watched at once — in
-// process, sharded across cores, or over the fleet daemon's socket.
+// process on a sharded fleet, or over the fleet daemon's socket.
 //
 // Each session simulates one concurrent print job with two side channels
 // (accelerometer-like and audio-like pseudo signals).  Most sessions
-// stream benign observations; one streams a tampered print.  Three modes:
+// stream benign observations; one streams a tampered print.  Two modes:
 //
-//   * default (--shards 0): the original single MonitorEngine path —
-//     frames via feed(), window processing in poll() on the shared pool.
-//   * --shards N (N >= 1): a ShardedFleet partitions the sessions across
-//     N worker shards, each with a private engine and a bounded frame
-//     queue.  Verdicts are bitwise identical to the unsharded path.
+//   * in process (default): a ShardedFleet partitions the sessions across
+//     --shards N worker shards (default 1), each with a private engine and
+//     a bounded frame queue; --shards 0 selects the fleet's inline mode
+//     (one engine, no threads, drained by flush()).  Frames stream in
+//     rounds of one chunk per channel, and the fleet is flushed after
+//     every round, as an acquisition loop would.  Verdicts are bitwise
+//     identical at every shard count.
 //   * --connect <uds-path>: client mode — the same dataset is replayed
 //     over the NSFP wire protocol to a running fleet_daemon through
 //     ResilientWireClient; sessions are admitted with ADD_SESSION (the
@@ -22,16 +24,14 @@
 //     double-counted.  Without --retry, a refused connection or a mid-run
 //     disconnect exits with code 3 (transport failure) and a clear
 //     message; daemon-side typed errors keep exiting with code 2.
-//   * --listen <uds-path>: serve an (initially empty) fleet over a socket
-//     — a minimal in-example daemon; see fleet_daemon for the real one.
 //
-// Crash-safe operation: with `--checkpoint <dir>` the engine atomically
-// writes `<dir>/fleet.nckp` (`fleet.<shard>.nckp` per shard when sharded)
-// after every poll round.  If the process dies (power cut, OOM kill,
-// SIGKILL), relaunching with `--resume` restores the fleet from the
-// checkpoint and resumes each channel's stream exactly where it left off —
-// the final verdicts are identical to a run that was never interrupted
-// (the CI crash-recovery job pins this).
+// Crash-safe operation: with `--checkpoint <dir>` every shard atomically
+// writes `<dir>/fleet.<shard>.nckp` at admission and after every round.
+// If the process dies (power cut, OOM kill, SIGKILL), relaunching with
+// `--resume` restores the fleet from the checkpoints and resumes each
+// channel's stream exactly where it left off — the final verdicts are
+// identical to a run that was never interrupted (the CI crash-recovery
+// job pins this).
 //
 // Drift adaptation: with `--rounds R --baseline-dir <dir>` the example
 // switches to print-at-a-time operation.  Each round admits every printer
@@ -51,31 +51,33 @@
 // serialized into checkpoints and ADD_SESSION specs, so resumed and
 // networked runs keep fusing identically.
 //
+// A malformed numeric argument exits with code 2 and names the argument.
+//
 //   ./fleet_monitor [sessions] [attack_session]
 //                   [--shards N] [--connect <uds> [--retry N]]
-//                   [--listen <uds>]
 //                   [--checkpoint <dir>] [--resume] [--pace-ms <n>]
 //                   [--fusion any|majority|all|weighted]
 //                   [--rounds R --baseline-dir <dir> [--model <name>]]
 #include <algorithm>
 #include <chrono>
-#include <csignal>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/fusion.hpp"
 #include "core/nsync.hpp"
-#include "engine/fleet_server.hpp"
 #include "engine/monitor_engine.hpp"
 #include "engine/resilient_client.hpp"
 #include "engine/sharded_fleet.hpp"
 #include "engine/wire_client.hpp"
+#include "eval/options.hpp"
 #include "signal/checkpoint.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
@@ -85,6 +87,9 @@ using nsync::signal::Rng;
 using nsync::signal::Signal;
 
 namespace {
+
+/// Frames per channel and feed call, as an acquisition host would send.
+constexpr std::size_t kChunk = 256;
 
 Signal make_reference(std::size_t frames, std::uint64_t seed) {
   Rng rng(seed);
@@ -175,9 +180,6 @@ void print_verdict(const engine::wire::StatsSession& s) {
   }
   std::cout << "\n";
 }
-
-volatile std::sig_atomic_t g_stop = 0;
-void on_signal(int) { g_stop = 1; }
 
 struct Dataset {
   std::vector<std::string> channels;
@@ -279,6 +281,125 @@ engine::SessionSpec make_spec(
   return spec;
 }
 
+/// The in-process fleet: fresh, or restored from `checkpoint_dir` on
+/// --resume.  Null (after saying why) when the checkpoints cannot be read.
+std::unique_ptr<engine::ShardedFleet> open_fleet(
+    engine::ShardedFleetOptions fopts, const std::string& checkpoint_dir,
+    bool resume) {
+  if (!checkpoint_dir.empty()) {
+    std::filesystem::create_directories(checkpoint_dir);
+    fopts.checkpoint_dir = checkpoint_dir;
+  }
+  if (!resume) return std::make_unique<engine::ShardedFleet>(fopts);
+  try {
+    return engine::ShardedFleet::restore(checkpoint_dir, fopts);
+  } catch (const nsync::signal::CheckpointError& e) {
+    std::cerr << "fleet_monitor: cannot resume from " << checkpoint_dir
+              << ": " << e.what() << "\n";
+    return nullptr;
+  }
+}
+
+/// Where to resume feeding a session: each channel's frames_fed, or the
+/// end of its stream once the session is evicted (nothing left to feed).
+std::vector<std::size_t> feed_cursors(const engine::SessionSnapshot& snap,
+                                      const std::vector<std::string>& channels,
+                                      const std::vector<Signal>& streams) {
+  std::vector<std::size_t> out(channels.size(), 0);
+  for (std::size_t c = 0; c < channels.size(); ++c) {
+    if (snap.evicted) out[c] = streams[c].frames();
+    for (const auto& ch : snap.channels) {
+      if (ch.name == channels[c]) out[c] = ch.frames_fed;
+    }
+  }
+  return out;
+}
+
+/// Streams session ids[s] from cursors[s] in rounds of one chunk per
+/// channel, flushing the fleet after every round.  With a checkpoint
+/// directory every shard has checkpointed the whole round by the time
+/// flush() returns, so a SIGKILL loses at most the round in flight.
+void stream_rounds(engine::ShardedFleet& fleet,
+                   const std::vector<std::size_t>& ids,
+                   const std::vector<std::string>& channels,
+                   const std::vector<std::vector<Signal>>& streams,
+                   std::vector<std::vector<std::size_t>> cursors,
+                   long pace_ms) {
+  bool more = true;
+  while (more) {
+    more = false;
+    for (std::size_t s = 0; s < ids.size(); ++s) {
+      for (std::size_t c = 0; c < channels.size(); ++c) {
+        const Signal& sig = streams[s][c];
+        const std::size_t off = cursors[s][c];
+        if (off >= sig.frames()) continue;
+        const std::size_t hi = std::min(off + kChunk, sig.frames());
+        fleet.feed(ids[s], channels[c], signal::SignalView(sig).slice(off, hi));
+        cursors[s][c] = hi;
+        if (hi < sig.frames()) more = true;
+      }
+    }
+    fleet.flush();
+    if (pace_ms > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(pace_ms));
+    }
+  }
+}
+
+/// In-process mode: every printer streams one print through the fleet.
+int run_fleet(std::size_t n_sessions, std::size_t attack_session,
+              std::size_t shards, const std::string& checkpoint_dir,
+              bool resume, long pace_ms, const std::string& fusion) {
+  engine::ShardedFleetOptions fopts;
+  fopts.shards = shards;
+  const std::unique_ptr<engine::ShardedFleet> fleet =
+      open_fleet(fopts, checkpoint_dir, resume);
+  if (!fleet) return 2;
+  Dataset d;  // thresholds filled only on the fresh (non-resume) path
+  if (resume) {
+    if (fleet->sessions() != n_sessions) {
+      std::cerr << "fleet_monitor: checkpoint holds " << fleet->sessions()
+                << " sessions but " << n_sessions << " were requested\n";
+      return 2;
+    }
+    // The checkpoints are self-contained (specs + streaming state), so no
+    // recalibration is needed: restore and pick the streams back up.
+    d = build_dataset(n_sessions, attack_session, /*calibrate=*/false);
+    std::cout << "resumed " << n_sessions << " sessions across " << shards
+              << " shards from " << checkpoint_dir << "\n";
+  } else {
+    d = build_dataset(n_sessions, attack_session, /*calibrate=*/true);
+    const auto policy = make_policy(fusion, d);
+    for (std::size_t s = 0; s < n_sessions; ++s) {
+      fleet->add_session(make_spec(d, s, "", policy));
+    }
+  }
+  std::vector<std::size_t> ids(n_sessions);
+  std::vector<std::vector<std::size_t>> cursors;
+  for (std::size_t s = 0; s < n_sessions; ++s) {
+    ids[s] = s;
+    cursors.push_back(
+        feed_cursors(fleet->snapshot(s), d.channels, d.streams[s]));
+  }
+  std::cout << "fleet: " << n_sessions << " sessions x " << d.channels.size()
+            << " channels on " << shards << " shards; session "
+            << attack_session << " streams a tampered print\n\n";
+  stream_rounds(*fleet, ids, d.channels, d.streams, std::move(cursors),
+                pace_ms);
+
+  const engine::FleetStats stats = fleet->stats();
+  std::cout << "windows: " << stats.windows << ", p50 feed->verdict "
+            << stats.p50_feed_to_verdict_us << " us, p99 "
+            << stats.p99_feed_to_verdict_us << " us\n";
+  if (!checkpoint_dir.empty()) {
+    std::uint64_t written = 0;
+    for (const auto& sh : stats.per_shard) written += sh.checkpoints_written;
+    std::cout << "checkpoints written: " << written << "\n";
+  }
+  for (const auto& snap : fleet->snapshots()) print_verdict(snap);
+  return 0;
+}
+
 /// Adaptive rounds mode (--rounds R with --baseline-dir): print-at-a-time
 /// operation with per-device baseline adaptation between prints.  Every
 /// quantity is a deterministic function of (sessions, attack, round), so a
@@ -288,29 +409,18 @@ engine::SessionSpec make_spec(
 int run_rounds(std::size_t n_sessions, std::size_t attack_session,
                std::size_t rounds, std::size_t shards,
                const std::string& model, const std::string& baseline_dir,
-               const std::string& checkpoint_dir, bool resume,
+               const std::string& checkpoint_dir, bool resume, long pace_ms,
                const std::string& fusion) {
-  constexpr std::size_t kChunk = 256;
   engine::ShardedFleetOptions fopts;
-  fopts.shards = shards == 0 ? 1 : shards;
+  fopts.shards = shards;
   std::filesystem::create_directories(baseline_dir);
   fopts.baseline.adaptive = true;
   fopts.baseline.dir = baseline_dir;
   fopts.baseline.policy.r = 0.55;  // match the calibration margin below
-  if (!checkpoint_dir.empty()) {
-    std::filesystem::create_directories(checkpoint_dir);
-    fopts.checkpoint_dir = checkpoint_dir;
-    fopts.checkpoint_every_polls = 1;
-  }
-  std::unique_ptr<engine::ShardedFleet> fleet;
+  const std::unique_ptr<engine::ShardedFleet> fleet =
+      open_fleet(fopts, checkpoint_dir, resume);
+  if (!fleet) return 2;
   if (resume) {
-    try {
-      fleet = engine::ShardedFleet::restore(checkpoint_dir, fopts);
-    } catch (const nsync::signal::CheckpointError& e) {
-      std::cerr << "fleet_monitor: cannot resume from " << checkpoint_dir
-                << ": " << e.what() << "\n";
-      return 2;
-    }
     if (fleet->sessions() > rounds * n_sessions) {
       std::cerr << "fleet_monitor: checkpoint holds " << fleet->sessions()
                 << " prints but only " << rounds * n_sessions
@@ -319,8 +429,6 @@ int run_rounds(std::size_t n_sessions, std::size_t attack_session,
     }
     std::cout << "resumed adaptation at print " << fleet->sessions() << "/"
               << rounds * n_sessions << " from " << checkpoint_dir << "\n";
-  } else {
-    fleet = std::make_unique<engine::ShardedFleet>(fopts);
   }
   // Calibration is deterministic, so a resumed run recomputes the same
   // trained (factory) thresholds for the prints it still has to admit;
@@ -329,7 +437,7 @@ int run_rounds(std::size_t n_sessions, std::size_t attack_session,
   const std::shared_ptr<const core::FusionPolicy> policy =
       make_policy(fusion, d);
   std::cout << "adaptive fleet: " << n_sessions << " printers x " << rounds
-            << " prints on " << fopts.shards << " shards; printer "
+            << " prints on " << shards << " shards; printer "
             << attack_session << " streams tampered prints\n";
 
   for (std::size_t r = 0; r < rounds; ++r) {
@@ -347,49 +455,24 @@ int run_rounds(std::size_t n_sessions, std::size_t attack_session,
     }
     std::vector<std::size_t> ids(n_sessions, 0);
     std::vector<bool> done(n_sessions, false);
-    std::vector<std::vector<std::size_t>> offsets(
-        n_sessions, std::vector<std::size_t>(d.channels.size(), 0));
+    std::vector<std::vector<std::size_t>> cursors;
     for (std::size_t s = 0; s < n_sessions; ++s) {
       const std::size_t id = r * n_sessions + s;
       ids[s] = id;
-      if (id < fleet->sessions()) {
-        const engine::SessionSnapshot snap = fleet->snapshot(id);
-        if (snap.evicted) {
-          // The print finished, its verdict was reported, and its maxima
-          // were folded before the crash — nothing left to replay.
-          done[s] = true;
-          continue;
-        }
-        for (const auto& ch : snap.channels) {
-          for (std::size_t c = 0; c < d.channels.size(); ++c) {
-            if (d.channels[c] == ch.name) offsets[s][c] = ch.frames_fed;
-          }
-        }
-      } else {
+      if (id >= fleet->sessions()) {
         engine::SessionSpec spec = make_spec(d, s, model, policy);
         spec.name =
             "printer-" + std::to_string(s) + "-print-" + std::to_string(r);
         fleet->add_session(std::move(spec));  // durable; resolves adapted
       }
+      const engine::SessionSnapshot snap = fleet->snapshot(id);
+      // An evicted print finished, its verdict was reported, and its
+      // maxima were folded before the crash — nothing left to replay.
+      done[s] = snap.evicted;
+      cursors.push_back(feed_cursors(snap, d.channels, streams[s]));
     }
-    bool more = true;
-    while (more) {
-      more = false;
-      for (std::size_t s = 0; s < n_sessions; ++s) {
-        if (done[s]) continue;
-        for (std::size_t c = 0; c < d.channels.size(); ++c) {
-          const Signal& sig = streams[s][c];
-          const std::size_t off = offsets[s][c];
-          if (off >= sig.frames()) continue;
-          const std::size_t hi = std::min(off + kChunk, sig.frames());
-          fleet->feed(ids[s], d.channels[c],
-                      signal::SignalView(sig).slice(off, hi));
-          offsets[s][c] = hi;
-          if (hi < sig.frames()) more = true;
-        }
-      }
-    }
-    fleet->flush();
+    stream_rounds(*fleet, ids, d.channels, streams, std::move(cursors),
+                  pace_ms);
     for (std::size_t s = 0; s < n_sessions; ++s) {
       if (!done[s]) print_verdict(fleet->snapshot(ids[s]));
     }
@@ -426,7 +509,6 @@ int run_rounds(std::size_t n_sessions, std::size_t attack_session,
 int run_client(const std::string& uds_path, std::size_t n_sessions,
                std::size_t attack_session, long pace_ms,
                const std::string& fusion, std::size_t retries) {
-  constexpr std::size_t kChunk = 256;
   try {
     engine::ResilientClientOptions copts;
     copts.client_name = "fleet_monitor";
@@ -536,54 +618,65 @@ int main(int argc, char** argv) {
   std::vector<std::string> positional;
   std::string checkpoint_dir;
   std::string connect_path;
-  std::string listen_path;
   std::string baseline_dir;
   std::string model = "mk3";
   std::string fusion = "any";
   std::size_t rounds = 0;
-  std::size_t shards = 0;
+  std::size_t shards = 1;
   std::size_t retries = 0;
   bool resume = false;
   long pace_ms = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--checkpoint" && i + 1 < argc) {
-      checkpoint_dir = argv[++i];
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (arg == "--pace-ms" && i + 1 < argc) {
-      pace_ms = std::stol(argv[++i]);
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg == "--baseline-dir" && i + 1 < argc) {
-      baseline_dir = argv[++i];
-    } else if (arg == "--rounds" && i + 1 < argc) {
-      rounds = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg == "--model" && i + 1 < argc) {
-      model = argv[++i];
-    } else if (arg == "--fusion" && i + 1 < argc) {
-      fusion = argv[++i];
-    } else if (arg == "--connect" && i + 1 < argc) {
-      connect_path = argv[++i];
-    } else if (arg == "--retry" && i + 1 < argc) {
-      retries = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg == "--listen" && i + 1 < argc) {
-      listen_path = argv[++i];
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: fleet_monitor [sessions] [attack_session]"
-                << " [--shards N] [--connect <uds> [--retry N]]"
-                << " [--listen <uds>]"
-                << " [--checkpoint <dir>] [--resume] [--pace-ms <n>]"
-                << " [--fusion any|majority|all|weighted]"
-                << " [--rounds R --baseline-dir <dir> [--model <name>]]\n";
-      return 0;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "fleet_monitor: unknown flag " << arg
-                << " (see --help)\n";
-      return 2;
-    } else {
-      positional.push_back(arg);
+  std::size_t n_sessions = 4;
+  std::size_t attack_session = 1;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--checkpoint" && i + 1 < argc) {
+        checkpoint_dir = argv[++i];
+      } else if (arg == "--resume") {
+        resume = true;
+      } else if (arg == "--pace-ms" && i + 1 < argc) {
+        pace_ms = static_cast<long>(eval::parse_u64(
+            arg, argv[++i], std::numeric_limits<long>::max()));
+      } else if (arg == "--shards" && i + 1 < argc) {
+        shards = eval::parse_u64(arg, argv[++i]);
+      } else if (arg == "--baseline-dir" && i + 1 < argc) {
+        baseline_dir = argv[++i];
+      } else if (arg == "--rounds" && i + 1 < argc) {
+        rounds = eval::parse_u64(arg, argv[++i]);
+      } else if (arg == "--model" && i + 1 < argc) {
+        model = argv[++i];
+      } else if (arg == "--fusion" && i + 1 < argc) {
+        fusion = argv[++i];
+      } else if (arg == "--connect" && i + 1 < argc) {
+        connect_path = argv[++i];
+      } else if (arg == "--retry" && i + 1 < argc) {
+        retries = eval::parse_u64(arg, argv[++i]);
+      } else if (arg == "--help" || arg == "-h") {
+        std::cout << "usage: fleet_monitor [sessions] [attack_session]"
+                  << " [--shards N] [--connect <uds> [--retry N]]"
+                  << " [--checkpoint <dir>] [--resume] [--pace-ms <n>]"
+                  << " [--fusion any|majority|all|weighted]"
+                  << " [--rounds R --baseline-dir <dir> [--model <name>]]\n";
+        return 0;
+      } else if (arg.rfind("--", 0) == 0) {
+        std::cerr << "fleet_monitor: unknown flag " << arg
+                  << " (see --help)\n";
+        return 2;
+      } else {
+        positional.push_back(arg);
+      }
     }
+    if (!positional.empty()) {
+      n_sessions = eval::parse_u64("sessions", positional[0].c_str());
+    }
+    if (positional.size() > 1) {
+      attack_session =
+          eval::parse_u64("attack_session", positional[1].c_str());
+    }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "fleet_monitor: " << e.what() << "\n";
+    return 2;
   }
   if (resume && checkpoint_dir.empty() && connect_path.empty()) {
     std::cerr << "fleet_monitor: --resume requires --checkpoint <dir>\n";
@@ -603,233 +696,15 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const std::size_t n_sessions =
-      !positional.empty() ? static_cast<std::size_t>(std::stoul(positional[0]))
-                          : 4;
-  const std::size_t attack_session =
-      positional.size() > 1
-          ? static_cast<std::size_t>(std::stoul(positional[1]))
-          : 1;
-  constexpr std::size_t kChunk = 256;
 
   if (!connect_path.empty()) {
     return run_client(connect_path, n_sessions, attack_session, pace_ms,
                       fusion, retries);
   }
-
   if (rounds > 0) {
     return run_rounds(n_sessions, attack_session, rounds, shards, model,
-                      baseline_dir, checkpoint_dir, resume, fusion);
+                      baseline_dir, checkpoint_dir, resume, pace_ms, fusion);
   }
-
-  if (!listen_path.empty()) {
-    // Minimal in-example daemon: an empty sharded fleet served over a
-    // socket until SIGINT/SIGTERM.  fleet_daemon is the full-featured one.
-    engine::ShardedFleetOptions fopts;
-    fopts.shards = shards == 0 ? 1 : shards;
-    if (!checkpoint_dir.empty()) {
-      std::filesystem::create_directories(checkpoint_dir);
-      fopts.checkpoint_dir = checkpoint_dir;
-    }
-    if (!baseline_dir.empty()) {
-      // Clients opt a session into adaptation by sending a non-empty
-      // model key in its ADD_SESSION spec.
-      std::filesystem::create_directories(baseline_dir);
-      fopts.baseline.adaptive = true;
-      fopts.baseline.dir = baseline_dir;
-    }
-    std::unique_ptr<engine::ShardedFleet> fleet =
-        resume ? engine::ShardedFleet::restore(checkpoint_dir, fopts)
-               : std::make_unique<engine::ShardedFleet>(fopts);
-    engine::FleetServerOptions sopts;
-    sopts.uds_path = listen_path;
-    engine::FleetServer server(*fleet, sopts);
-    server.start();
-    std::cout << "listening on " << listen_path << " (" << fopts.shards
-              << " shards)" << std::endl;
-    std::signal(SIGINT, on_signal);
-    std::signal(SIGTERM, on_signal);
-    while (g_stop == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    server.stop();
-    return 0;
-  }
-
-  Dataset d;  // thresholds filled only on the fresh (non-resume) path
-
-  if (shards > 0) {
-    // Sharded in-process path: same sessions, N worker shards.
-    engine::ShardedFleetOptions fopts;
-    fopts.shards = shards;
-    if (!checkpoint_dir.empty()) {
-      std::filesystem::create_directories(checkpoint_dir);
-      fopts.checkpoint_dir = checkpoint_dir;
-      fopts.checkpoint_every_polls = 1;
-    }
-    std::unique_ptr<engine::ShardedFleet> fleet;
-    if (resume) {
-      try {
-        fleet = engine::ShardedFleet::restore(checkpoint_dir, fopts);
-      } catch (const nsync::signal::CheckpointError& e) {
-        std::cerr << "fleet_monitor: cannot resume from " << checkpoint_dir
-                  << ": " << e.what() << "\n";
-        return 2;
-      }
-      if (fleet->sessions() != n_sessions) {
-        std::cerr << "fleet_monitor: checkpoint holds " << fleet->sessions()
-                  << " sessions but " << n_sessions << " were requested\n";
-        return 2;
-      }
-      d = build_dataset(n_sessions, attack_session, /*calibrate=*/false);
-      std::cout << "resumed " << fleet->sessions() << " sessions across "
-                << shards << " shards from " << checkpoint_dir << "\n";
-    } else {
-      d = build_dataset(n_sessions, attack_session, /*calibrate=*/true);
-      fleet = std::make_unique<engine::ShardedFleet>(fopts);
-      const auto policy = make_policy(fusion, d);
-      for (std::size_t s = 0; s < n_sessions; ++s) {
-        fleet->add_session(make_spec(d, s, "", policy));
-      }
-    }
-    std::vector<std::vector<std::size_t>> offsets(
-        n_sessions, std::vector<std::size_t>(d.channels.size(), 0));
-    if (resume) {
-      for (std::size_t s = 0; s < n_sessions; ++s) {
-        const engine::SessionSnapshot snap = fleet->snapshot(s);
-        for (const auto& ch : snap.channels) {
-          for (std::size_t c = 0; c < d.channels.size(); ++c) {
-            if (d.channels[c] == ch.name) offsets[s][c] = ch.frames_fed;
-          }
-        }
-      }
-    }
-    std::cout << "fleet: " << n_sessions << " sessions x "
-              << d.channels.size() << " channels on " << shards
-              << " shards; session " << attack_session
-              << " streams a tampered print\n\n";
-    bool more = true;
-    while (more) {
-      more = false;
-      for (std::size_t s = 0; s < n_sessions; ++s) {
-        for (std::size_t c = 0; c < d.channels.size(); ++c) {
-          const Signal& sig = d.streams[s][c];
-          const std::size_t off = offsets[s][c];
-          if (off >= sig.frames()) continue;
-          const std::size_t hi = std::min(off + kChunk, sig.frames());
-          fleet->feed(s, d.channels[c],
-                      signal::SignalView(sig).slice(off, hi));
-          offsets[s][c] = hi;
-          if (hi < sig.frames()) more = true;
-        }
-      }
-      if (pace_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(pace_ms));
-      }
-    }
-    fleet->flush();
-    const engine::FleetStats stats = fleet->stats();
-    std::cout << "windows: " << stats.windows << ", p50 feed->verdict "
-              << stats.p50_feed_to_verdict_us << " us, p99 "
-              << stats.p99_feed_to_verdict_us << " us\n";
-    for (const auto& snap : fleet->snapshots()) print_verdict(snap);
-    return 0;
-  }
-
-  // --- Original single-engine path (--shards 0) ---------------------------
-
-  engine::MonitorEngineOptions opts;
-  if (!checkpoint_dir.empty()) {
-    std::filesystem::create_directories(checkpoint_dir);
-    opts.checkpoint_dir = checkpoint_dir;
-    opts.checkpoint_every_polls = 1;  // one atomic checkpoint per round
-  }
-
-  engine::MonitorEngine eng(opts);
-  if (resume) {
-    // The checkpoint is self-contained (specs + streaming state), so no
-    // recalibration is needed: restore and pick the streams back up.
-    try {
-      eng =
-          engine::MonitorEngine::restore(checkpoint_dir + "/fleet.nckp", opts);
-    } catch (const nsync::signal::CheckpointError& e) {
-      std::cerr << "fleet_monitor: cannot resume from " << checkpoint_dir
-                << "/fleet.nckp: " << e.what() << "\n";
-      return 2;
-    }
-    if (eng.sessions() != n_sessions) {
-      std::cerr << "fleet_monitor: checkpoint holds " << eng.sessions()
-                << " sessions but " << n_sessions << " were requested\n";
-      return 2;
-    }
-    d = build_dataset(n_sessions, attack_session, /*calibrate=*/false);
-    std::cout << "resumed " << eng.sessions() << " sessions from "
-              << checkpoint_dir << "/fleet.nckp\n";
-  } else {
-    d = build_dataset(n_sessions, attack_session, /*calibrate=*/true);
-    const auto policy = make_policy(fusion, d);
-    for (std::size_t s = 0; s < n_sessions; ++s) {
-      eng.add_session(make_spec(d, s, "", policy));
-    }
-  }
-
-  std::vector<std::vector<std::size_t>> offsets(
-      n_sessions, std::vector<std::size_t>(d.channels.size(), 0));
-  for (std::size_t s = 0; s < n_sessions && resume; ++s) {
-    const engine::SessionSnapshot snap = eng.snapshot(s);
-    for (const auto& ch : snap.channels) {
-      for (std::size_t c = 0; c < d.channels.size(); ++c) {
-        if (d.channels[c] == ch.name) offsets[s][c] = ch.frames_fed;
-      }
-    }
-  }
-  std::cout << "fleet: " << n_sessions << " sessions x " << d.channels.size()
-            << " channels; session " << attack_session
-            << " streams a tampered print\n\n";
-
-  // Stream the fleet: interleave chunk-sized feeds across every session
-  // and poll after each round, as an acquisition loop would.
-  bool more = true;
-  while (more) {
-    more = false;
-    for (std::size_t s = 0; s < n_sessions; ++s) {
-      for (std::size_t c = 0; c < d.channels.size(); ++c) {
-        const Signal& sig = d.streams[s][c];
-        const std::size_t off = offsets[s][c];
-        if (off >= sig.frames()) continue;
-        const std::size_t hi = std::min(off + kChunk, sig.frames());
-        eng.feed(s, d.channels[c], signal::SignalView(sig).slice(off, hi));
-        offsets[s][c] = hi;
-        if (hi < sig.frames()) more = true;
-      }
-    }
-    eng.poll();
-    if (pace_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(pace_ms));
-    }
-  }
-  if (!checkpoint_dir.empty()) {
-    std::cout << "checkpoints written: " << eng.checkpoints_written() << "\n";
-  }
-
-  for (const auto& snap : eng.snapshots()) {
-    std::cout << snap.name << ": "
-              << (snap.intrusion ? "INTRUSION" : "benign");
-    if (snap.intrusion) {
-      std::cout << " (first alarm at window " << snap.first_alarm_window
-                << ")";
-    }
-    std::cout << " — " << snap.windows << " windows, "
-              << snap.online_channels << "/" << snap.channels.size()
-              << " channels online\n";
-    for (const auto& ch : snap.channels) {
-      std::cout << "    " << ch.name << ": "
-                << (ch.detection.intrusion ? "alarm" : "ok") << " ("
-                << health_name(ch.health) << ", " << ch.windows
-                << " windows)\n";
-    }
-  }
-
-  for (const auto& snap : eng.snapshots()) print_verdict(snap);
-  return 0;
+  return run_fleet(n_sessions, attack_session, shards, checkpoint_dir, resume,
+                   pace_ms, fusion);
 }

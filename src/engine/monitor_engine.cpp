@@ -1,14 +1,12 @@
 #include "engine/monitor_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "engine/session_codec.hpp"
-#include "runtime/thread_pool.hpp"
 #include "signal/checkpoint.hpp"
 
 namespace nsync::engine {
@@ -168,39 +166,6 @@ std::vector<core::ChannelScore> MonitorEngine::channel_scores_locked(
   return scores;
 }
 
-std::size_t MonitorEngine::poll() {
-  std::atomic<std::size_t> total{0};
-  nsync::runtime::parallel_for(0, sessions_.size(), [&](std::size_t i) {
-    Session& s = *sessions_[i];
-    const std::scoped_lock lock(s.mu);
-    total.fetch_add(drain_locked(s), std::memory_order_relaxed);
-  });
-  const std::size_t windows = total.load(std::memory_order_relaxed);
-  maybe_checkpoint(windows);
-  return windows;
-}
-
-void MonitorEngine::maybe_checkpoint(std::size_t windows) {
-  if (options_.checkpoint_dir.empty()) return;
-  // poll() may be called from several threads at once (the class contract
-  // only promises per-session serialization), so the policy counters and
-  // the write are guarded by the engine-level checkpoint mutex.
-  const std::scoped_lock lock(checkpoint_mu_);
-  ++polls_since_checkpoint_;
-  windows_since_checkpoint_ += windows;
-  const bool poll_trigger = options_.checkpoint_every_polls > 0 &&
-                            polls_since_checkpoint_ >=
-                                options_.checkpoint_every_polls;
-  const bool window_trigger = options_.checkpoint_every_windows > 0 &&
-                              windows_since_checkpoint_ >=
-                                  options_.checkpoint_every_windows;
-  if (!poll_trigger && !window_trigger) return;
-  checkpoint(checkpoint_path());
-  polls_since_checkpoint_ = 0;
-  windows_since_checkpoint_ = 0;
-  ++checkpoints_written_;
-}
-
 std::size_t MonitorEngine::poll_inline() {
   std::size_t windows = 0;
   for (auto& sp : sessions_) {
@@ -208,7 +173,6 @@ std::size_t MonitorEngine::poll_inline() {
     const std::scoped_lock lock(s.mu);
     windows += drain_locked(s);
   }
-  maybe_checkpoint(windows);
   return windows;
 }
 
@@ -380,11 +344,6 @@ void MonitorEngine::checkpoint(const std::string& path) const {
   // copy — the authoritative state is inside the .nckp above.
   const std::string bpath = baseline_path();
   if (registry_ && !bpath.empty()) registry_->save(bpath);
-}
-
-std::string MonitorEngine::checkpoint_path() const {
-  if (options_.checkpoint_dir.empty()) return {};
-  return options_.checkpoint_dir + "/" + options_.checkpoint_filename;
 }
 
 std::string MonitorEngine::baseline_path() const {

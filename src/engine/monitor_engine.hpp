@@ -1,5 +1,4 @@
-// Multi-session monitoring engine — the fleet layer on top of the
-// streaming detection stack.
+// Multi-session monitoring engine — the serial core of the fleet layer.
 //
 // One MonitorEngine serves N concurrent print-monitoring sessions.  A
 // session is one print job: per-channel reference signals + NSYNC configs
@@ -9,14 +8,14 @@
 //
 // Frames arrive via feed(), which only appends to a per-channel staging
 // ring buffer — cheap enough to call from an acquisition callback.  The
-// actual window processing happens in poll(), which drains every session's
-// staged frames through its monitors, scheduling sessions on the shared
-// nsync_runtime thread pool (one task per session; each session is
-// internally sequential, so per-session results are bitwise identical at
-// any worker count).  Memory stays bounded: the monitors' synchronizer
-// buffers are rings, and a session whose staging exceeds
-// Options::max_pending_frames is drained inline by feed() itself instead
-// of growing without limit.
+// actual window processing happens in poll_inline(), which drains every
+// session's staged frames through its monitors, one session after the
+// other on the calling thread.  The engine owns no threads and no
+// checkpoint cadence: ShardedFleet (engine/sharded_fleet.hpp) gives each
+// engine its own core and decides when it is checkpointed.  Memory stays
+// bounded: the monitors' synchronizer buffers are rings, and a session
+// whose staging exceeds Options::max_pending_frames is drained inline by
+// feed() itself instead of growing without limit.
 #ifndef NSYNC_ENGINE_MONITOR_ENGINE_HPP
 #define NSYNC_ENGINE_MONITOR_ENGINE_HPP
 
@@ -89,7 +88,7 @@ struct ChannelSnapshot {
   std::size_t width = 0;           ///< samples per frame (signal channels)
   double sample_rate = 0.0;        ///< frames per second
   std::size_t windows = 0;         ///< windows processed so far
-  std::size_t pending_frames = 0;  ///< staged frames awaiting poll()
+  std::size_t pending_frames = 0;  ///< staged frames awaiting a drain
   /// Total frames ever fed to this channel (processed + pending).  After a
   /// restore this tells the feeder where to resume its stream.
   std::size_t frames_fed = 0;
@@ -144,58 +143,24 @@ struct MonitorEngineOptions {
   /// even when the caller never polls.  0 disables the backstop.
   std::size_t max_pending_frames = 65536;
 
-  /// When non-empty, poll() periodically writes an atomic checkpoint of
-  /// the whole fleet to `<checkpoint_dir>/fleet.nckp` (see
-  /// checkpoint_path()).  The directory must already exist.
-  std::string checkpoint_dir;
-  /// Checkpoint after this many poll() calls (counting from the previous
-  /// checkpoint).  0 disables the poll-count trigger.
-  std::size_t checkpoint_every_polls = 1;
-  /// Additionally checkpoint once this many windows have been processed
-  /// since the previous checkpoint (fires at the first poll() that crosses
-  /// the total).  0 disables the window-count trigger.
-  std::size_t checkpoint_every_windows = 0;
-  /// File name the periodic policy writes inside checkpoint_dir.  The
-  /// sharded fleet gives each shard's engine its own name
-  /// ("fleet.<shard>.nckp") so N shards checkpoint into one directory
-  /// without clobbering each other.
-  std::string checkpoint_filename = "fleet.nckp";
-
   /// Per-device baseline adaptation (off by default).
   BaselineOptions baseline;
 };
 
-/// N concurrent streaming sessions over the shared thread pool.
+/// N concurrent streaming sessions, drained serially.
 ///
-/// Thread safety: add_session must not run concurrently with feed/poll/
-/// snapshot (register the fleet first).  After that, feed() calls for
-/// *different* sessions may run concurrently; feed() for one session,
-/// poll() and snapshot() serialize internally on per-session mutexes.
+/// Thread safety: add_session must not run concurrently with feed/
+/// poll_inline/snapshot (register the fleet first).  After that, feed()
+/// calls for *different* sessions may run concurrently; feed() for one
+/// session, poll_inline() and snapshot() serialize internally on
+/// per-session mutexes.
 class MonitorEngine {
  public:
   explicit MonitorEngine(MonitorEngineOptions options = {});
 
-  // Movable (restore() builds the fleet into a local and returns it); the
-  // checkpoint mutex is not moved — the destination gets a fresh one, and
-  // moving an engine with concurrent users is a caller error regardless.
-  MonitorEngine(MonitorEngine&& other) noexcept
-      : options_(std::move(other.options_)),
-        sessions_(std::move(other.sessions_)),
-        registry_(std::move(other.registry_)),
-        resolve_on_admission_(other.resolve_on_admission_),
-        polls_since_checkpoint_(other.polls_since_checkpoint_),
-        windows_since_checkpoint_(other.windows_since_checkpoint_),
-        checkpoints_written_(other.checkpoints_written_) {}
-  MonitorEngine& operator=(MonitorEngine&& other) noexcept {
-    options_ = std::move(other.options_);
-    sessions_ = std::move(other.sessions_);
-    registry_ = std::move(other.registry_);
-    resolve_on_admission_ = other.resolve_on_admission_;
-    polls_since_checkpoint_ = other.polls_since_checkpoint_;
-    windows_since_checkpoint_ = other.windows_since_checkpoint_;
-    checkpoints_written_ = other.checkpoints_written_;
-    return *this;
-  }
+  // Movable: restore() builds the fleet into a local and returns it.
+  MonitorEngine(MonitorEngine&&) noexcept = default;
+  MonitorEngine& operator=(MonitorEngine&&) noexcept = default;
 
   /// Registers a session and returns its id (dense, starting at 0).
   /// Throws std::invalid_argument on an empty or invalid spec.
@@ -209,17 +174,9 @@ class MonitorEngine {
   std::size_t feed(std::size_t session, const std::string& channel,
                    const nsync::signal::SignalView& frames);
 
-  /// Drains every session's staged frames through its monitors, running
-  /// sessions in parallel on the global thread pool.  Returns the total
+  /// Drains every session's staged frames through its monitors, one
+  /// session after the other on the calling thread.  Returns the total
   /// number of windows processed across the fleet.
-  std::size_t poll();
-
-  /// poll(), but every session is drained sequentially on the calling
-  /// thread — no global-pool tasks are enqueued.  This is what each
-  /// ShardedFleet worker uses: with one engine per shard worker, routing
-  /// the drains through the shared pool would serialize the shards on the
-  /// pool's queue instead of running them on their own cores.  Fires the
-  /// same periodic checkpoint policy as poll().
   std::size_t poll_inline();
 
   /// Drains one session only (inline, on the calling thread).
@@ -227,8 +184,9 @@ class MonitorEngine {
 
   /// Releases a session's monitors, staging buffers and reference signals,
   /// leaving a named tombstone so session ids stay stable (they are never
-  /// reused).  Evicted sessions are skipped by poll() and serialized as
-  /// stubs; feeding one throws std::invalid_argument.  Idempotent.
+  /// reused).  Evicted sessions are skipped by poll_inline() and
+  /// serialized as stubs; feeding one throws std::invalid_argument.
+  /// Idempotent.
   void evict_session(std::size_t session);
 
   [[nodiscard]] SessionSnapshot snapshot(std::size_t session) const;
@@ -266,20 +224,10 @@ class MonitorEngine {
   [[nodiscard]] static MonitorEngine restore(const std::string& path,
                                              MonitorEngineOptions options = {});
 
-  /// Where the periodic policy writes its checkpoint
-  /// (`<checkpoint_dir>/fleet.nckp`); empty when the policy is disabled.
-  [[nodiscard]] std::string checkpoint_path() const;
-
   /// Where checkpoint() exports the registry
   /// (`<baseline.dir>/<baseline.filename>`); empty when adaptation is off
   /// or no baseline dir is configured.
   [[nodiscard]] std::string baseline_path() const;
-
-  /// Checkpoints written by the periodic policy so far.
-  [[nodiscard]] std::size_t checkpoints_written() const {
-    const std::scoped_lock lock(checkpoint_mu_);
-    return checkpoints_written_;
-  }
 
   /// The per-device baseline registry, or nullptr when the engine runs
   /// with fixed thresholds (options.baseline.adaptive == false).
@@ -322,9 +270,6 @@ class MonitorEngine {
   std::size_t drain_locked(Session& s);
   static SessionSnapshot snapshot_locked(const Session& s);
   static void save_session(nsync::signal::ByteWriter& w, const Session& s);
-  /// Fires the periodic checkpoint policy after a poll that processed
-  /// `windows` windows.
-  void maybe_checkpoint(std::size_t windows);
 
   MonitorEngineOptions options_;
   // unique_ptr keeps Session addresses (and their mutexes) stable while
@@ -338,13 +283,6 @@ class MonitorEngine {
   // would arm newer thresholds than the original run and break bitwise
   // verdict replay.  Cleared for the duration of the restore loop.
   bool resolve_on_admission_ = true;
-  // Serializes the periodic checkpoint policy: concurrent poll() calls
-  // are allowed, so the trigger counters and the checkpoint write itself
-  // need their own lock (per-session mutexes don't cover them).
-  mutable std::mutex checkpoint_mu_;
-  std::size_t polls_since_checkpoint_ = 0;
-  std::size_t windows_since_checkpoint_ = 0;
-  std::size_t checkpoints_written_ = 0;
 };
 
 }  // namespace nsync::engine

@@ -69,10 +69,6 @@ std::string feed_status_name(FeedStatus s) {
 MonitorEngineOptions ShardedFleet::engine_options(std::size_t shard) const {
   MonitorEngineOptions opts;
   opts.max_pending_frames = options_.max_pending_frames;
-  opts.checkpoint_dir = options_.checkpoint_dir;
-  opts.checkpoint_every_polls = options_.checkpoint_every_polls;
-  opts.checkpoint_every_windows = options_.checkpoint_every_windows;
-  opts.checkpoint_filename = shard_checkpoint_filename(shard);
   opts.baseline = options_.baseline;
   if (opts.baseline.adaptive) {
     opts.baseline.filename =
@@ -135,13 +131,11 @@ void ShardedFleet::worker_loop(std::size_t index, Shard& shard) {
 
 void ShardedFleet::process_batches(std::size_t index, Shard& shard,
                                    const std::vector<FrameBatch>& batches) {
-  bool evicted_any = false;
   const std::scoped_lock lock(shard.mu);
   for (const auto& b : batches) {
     if (options_.worker_fault_hook) options_.worker_fault_hook(index, b);
     if (b.kind == FrameBatch::Kind::kEvict) {
       shard.engine->evict_session(b.session);
-      evicted_any = true;
       continue;
     }
     try {
@@ -157,12 +151,10 @@ void ShardedFleet::process_batches(std::size_t index, Shard& shard,
   shard.windows += shard.engine->poll_inline();
   ++shard.polls;
   shard.batches += batches.size();
-  // Make eviction durable on the spot instead of waiting for the
-  // next periodic trigger: a restore must not resurrect a session
-  // the caller was told is gone.
-  if (evicted_any && !options_.checkpoint_dir.empty()) {
-    shard.engine->checkpoint(shard.engine->checkpoint_path());
-  }
+  // One checkpoint per drain round.  It also makes any eviction in this
+  // round durable: a restore must not resurrect a session the caller was
+  // told is gone.
+  write_checkpoint(index, shard);
   const auto now = std::chrono::steady_clock::now();
   for (const auto& b : batches) {
     if (b.kind == FrameBatch::Kind::kFeed) {
@@ -189,9 +181,8 @@ bool ShardedFleet::supervise_failure(std::size_t index, Shard& shard,
                                 options_.supervision.max_restarts;
   if (want_restart) {
     try {
-      MonitorEngine restored = MonitorEngine::restore(
-          options_.checkpoint_dir + "/" + shard_checkpoint_filename(index),
-          engine_options(index));
+      MonitorEngine restored =
+          MonitorEngine::restore(checkpoint_path(index), engine_options(index));
       const std::scoped_lock lock(shard.mu);
       *shard.engine = std::move(restored);
       shard.restarts.fetch_add(1, std::memory_order_relaxed);
@@ -239,9 +230,7 @@ std::size_t ShardedFleet::add_session(SessionSpec spec) {
     }
     // Durable admission: the session must survive a crash that happens
     // right after the caller learns its id.
-    if (!options_.checkpoint_dir.empty()) {
-      shard.engine->checkpoint(shard.engine->checkpoint_path());
-    }
+    write_checkpoint(info.shard, shard);
   }
   registry_.push_back(std::move(info));
   return id;
@@ -260,9 +249,7 @@ bool ShardedFleet::evict_session(std::size_t session) {
   if (options_.shards == 0) {
     const std::scoped_lock lock(shard.mu);
     shard.engine->evict_session(info.local);
-    if (!options_.checkpoint_dir.empty()) {
-      shard.engine->checkpoint(shard.engine->checkpoint_path());
-    }
+    write_checkpoint(info.shard, shard);
     return true;
   }
   FrameBatch evict;
@@ -373,14 +360,16 @@ FeedResult ShardedFleet::feed(std::size_t session, const std::string& channel,
 }
 
 void ShardedFleet::flush() {
-  for (auto& shard : shards_) {
-    if (shard->queue) {
-      shard->queue->wait_idle();
-    } else {
-      const std::scoped_lock lock(shard->mu);
-      shard->windows += shard->engine->poll_inline();
-      ++shard->polls;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    Shard& shard = *shards_[i];
+    if (shard.queue) {
+      shard.queue->wait_idle();
+      continue;
     }
+    const std::scoped_lock lock(shard.mu);
+    shard.windows += shard.engine->poll_inline();
+    ++shard.polls;
+    write_checkpoint(i, shard);
   }
 }
 
@@ -446,7 +435,7 @@ FleetStats ShardedFleet::stats() const {
       s.polls = shard.polls;
       s.windows = shard.windows;
       s.feed_errors = shard.feed_errors;
-      s.checkpoints_written = shard.engine->checkpoints_written();
+      s.checkpoints_written = shard.checkpoints_written;
       s.latency_samples = shard.latency.count();
       s.p50_feed_to_verdict_us = shard.latency.quantile_us(0.50);
       s.p99_feed_to_verdict_us = shard.latency.quantile_us(0.99);
@@ -505,10 +494,20 @@ void ShardedFleet::checkpoint_all() const {
     throw std::logic_error(
         "ShardedFleet::checkpoint_all: no checkpoint_dir configured");
   }
-  for (const auto& shard : shards_) {
-    const std::scoped_lock lock(shard->mu);
-    shard->engine->checkpoint(shard->engine->checkpoint_path());
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    const std::scoped_lock lock(shards_[i]->mu);
+    write_checkpoint(i, *shards_[i]);
   }
+}
+
+std::string ShardedFleet::checkpoint_path(std::size_t shard) const {
+  return options_.checkpoint_dir + "/" + shard_checkpoint_filename(shard);
+}
+
+void ShardedFleet::write_checkpoint(std::size_t index, Shard& shard) const {
+  if (options_.checkpoint_dir.empty()) return;
+  shard.engine->checkpoint(checkpoint_path(index));
+  ++shard.checkpoints_written;
 }
 
 std::unique_ptr<ShardedFleet> ShardedFleet::restore(

@@ -1,11 +1,11 @@
-// ShardedFleet — the multi-core fleet layer.
+// ShardedFleet — the multi-core fleet layer, and the fleet's one owner of
+// cores and checkpoint cadence.
 //
-// MonitorEngine::poll() drains every session on one thread pool, which in
-// practice pins the whole fleet's window processing near one core's
-// throughput once feed() itself becomes cheap (bench_ext_multi_session was
-// flat at ~29k windows/s from 1 to 64 sessions).  ShardedFleet partitions
-// the fleet across N shards; each shard owns a *private* MonitorEngine and
-// a dedicated worker thread, fed through a bounded MPSC FrameQueue:
+// MonitorEngine is a serial engine: it drains its sessions one after the
+// other on the calling thread and never decides when to checkpoint.
+// ShardedFleet partitions the fleet across N shards; each shard owns a
+// *private* MonitorEngine and a dedicated worker thread, fed through a
+// bounded MPSC FrameQueue:
 //
 //   ingest threads ──► FrameQueue[shard 0] ──► worker 0 ──► MonitorEngine 0
 //          (feed)  ──► FrameQueue[shard 1] ──► worker 1 ──► MonitorEngine 1
@@ -30,12 +30,12 @@
 // frame is accounted in per-shard stats.  Past saturation the fleet
 // degrades by policy, never by unbounded memory growth.
 //
-// Crash safety: each shard's engine periodically checkpoints its own
-// sessions to `<dir>/fleet.<shard>.nckp` (the PR-5 atomic container), and
-// add_session() checkpoints the target shard synchronously so admission is
-// durable.  restore() reloads all N files and replays bitwise-identical
-// verdicts once the feeder resumes each channel at its recorded
-// frames_fed offset.
+// Crash safety: with a checkpoint_dir, each shard writes its own sessions
+// to `<dir>/fleet.<shard>.nckp` (the atomic NCKP container) once after
+// every drain round, and add_session() checkpoints the target shard
+// synchronously so admission is durable.  restore() reloads all N files
+// and replays bitwise-identical verdicts once the feeder resumes each
+// channel at its recorded frames_fed offset.
 #ifndef NSYNC_ENGINE_SHARDED_FLEET_HPP
 #define NSYNC_ENGINE_SHARDED_FLEET_HPP
 
@@ -107,6 +107,9 @@ struct ShardStats {
   std::uint64_t restarts = 0;     ///< restart-from-checkpoint recoveries
   std::uint64_t discarded_frames = 0;  ///< backlog dropped at failure
   std::string failure_reason;     ///< what() of the escaped exception
+  /// Writes of this shard's `fleet.<i>.nckp`: one per drain round, one per
+  /// admission, one per inline-mode eviction and one per checkpoint_all().
+  /// Restarts from a checkpoint do not reset it.
   std::uint64_t checkpoints_written = 0;
   std::uint64_t latency_samples = 0;
   double p50_feed_to_verdict_us = 0.0;
@@ -138,12 +141,12 @@ struct ShardedFleetOptions {
   OverflowPolicy overflow = OverflowPolicy::kBlock;
   /// Forwarded to each shard engine (inline-drain backstop).
   std::size_t max_pending_frames = 65536;
-  /// When non-empty, shard i periodically checkpoints to
-  /// `<checkpoint_dir>/fleet.<i>.nckp`, and add_session/evict become
-  /// durable (synchronous checkpoint of the affected shard).
+  /// When non-empty, shard i writes `<checkpoint_dir>/fleet.<i>.nckp`
+  /// once after every drain round (a worker's batch round, or flush() in
+  /// inline mode), so an eviction is durable by the end of its round.
+  /// Admission, inline-mode eviction and checkpoint_all() write
+  /// synchronously.  The directory must already exist.
   std::string checkpoint_dir;
-  std::size_t checkpoint_every_polls = 1;
-  std::size_t checkpoint_every_windows = 0;
   /// Per-device baseline adaptation, forwarded to every shard engine.
   /// Each shard owns a private registry (sessions never migrate, so a
   /// device's baseline evolves deterministically within its shard) and
@@ -268,6 +271,7 @@ class ShardedFleet {
     std::uint64_t polls = 0;
     std::uint64_t windows = 0;
     std::uint64_t feed_errors = 0;
+    std::uint64_t checkpoints_written = 0;
     LatencyHistogram latency;
     // Supervision state.  `failed` is atomic so the feed hot path can
     // check it without taking mu; failure_reason is guarded by mu.
@@ -296,6 +300,11 @@ class ShardedFleet {
   ShardedFleet(ShardedFleetOptions options, const std::string& restore_dir);
 
   [[nodiscard]] MonitorEngineOptions engine_options(std::size_t shard) const;
+  /// `<checkpoint_dir>/fleet.<shard>.nckp`.
+  [[nodiscard]] std::string checkpoint_path(std::size_t shard) const;
+  /// Writes shard `index`'s checkpoint and counts it; a no-op without a
+  /// checkpoint_dir.  Caller holds shard.mu.
+  void write_checkpoint(std::size_t index, Shard& shard) const;
   void start_workers();
   void worker_loop(std::size_t index, Shard& shard);
   void process_batches(std::size_t index, Shard& shard,

@@ -1,5 +1,6 @@
 #include "eval/options.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 #include <string_view>
@@ -8,12 +9,12 @@
 
 namespace nsync::eval {
 
-namespace {
-
-std::uint64_t parse_u64(std::string_view flag, const char* value) {
+std::uint64_t parse_u64(std::string_view flag, const char* value,
+                        std::uint64_t max) {
   if (value == nullptr) {
     throw std::invalid_argument(std::string(flag) + ": missing value");
   }
+  errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(value, &end, 10);
   // strtoull silently wraps a leading '-' to a huge value; reject it.
@@ -21,10 +22,13 @@ std::uint64_t parse_u64(std::string_view flag, const char* value) {
     throw std::invalid_argument(std::string(flag) + ": bad number '" +
                                 value + "'");
   }
+  if (errno == ERANGE || v > max) {
+    throw std::invalid_argument(std::string(flag) + ": " + value +
+                                " is out of range (max " +
+                                std::to_string(max) + ")");
+  }
   return v;
 }
-
-}  // namespace
 
 CliOptions CliOptions::parse(int argc, const char* const* argv) {
   CliOptions opt;

@@ -2,12 +2,22 @@
 #ifndef NSYNC_EVAL_OPTIONS_HPP
 #define NSYNC_EVAL_OPTIONS_HPP
 
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "eval/setup.hpp"
 
 namespace nsync::eval {
+
+/// Parses the non-negative decimal value of a command-line argument.
+/// Throws std::invalid_argument naming `flag` when `value` is missing, is
+/// not a plain decimal number, or exceeds `max`.
+[[nodiscard]] std::uint64_t parse_u64(
+    std::string_view flag, const char* value,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 struct CliOptions {
   EvalScale scale = EvalScale::quick();

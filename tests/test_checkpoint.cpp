@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <span>
 #include <string>
@@ -43,7 +42,6 @@ using nsync::core::SyncMethod;
 using nsync::core::Thresholds;
 using nsync::engine::ChannelSpec;
 using nsync::engine::MonitorEngine;
-using nsync::engine::MonitorEngineOptions;
 using nsync::engine::SessionSnapshot;
 using nsync::engine::SessionSpec;
 using nsync::signal::ByteReader;
@@ -717,8 +715,8 @@ class CheckpointFleetTest : public ::testing::Test {
     return spec;
   }
 
-  MonitorEngine make_engine(MonitorEngineOptions opts = {}) const {
-    MonitorEngine eng(opts);
+  MonitorEngine make_engine() const {
+    MonitorEngine eng;
     eng.add_session(make_session("benign-print"));
     eng.add_session(make_session("tampered-print"));
     return eng;
@@ -739,7 +737,7 @@ class CheckpointFleetTest : public ::testing::Test {
           eng.feed(s, kNames[c], SignalView(sig).slice(lo, hi));
         }
       }
-      eng.poll();
+      eng.poll_inline();
     }
   }
 
@@ -1073,39 +1071,7 @@ TEST_F(CheckpointFleetTest, WeightedSessionKillAndRestoreReplaysBitwise) {
 }
 
 // ---------------------------------------------------------------------------
-// Periodic policy, corruption, misuse
-
-TEST_F(CheckpointFleetTest, PeriodicPolicyWritesAndRotatesAtomically) {
-  MonitorEngineOptions opts;
-  opts.checkpoint_dir = ::testing::TempDir() + "fleet-policy";
-  std::filesystem::create_directories(opts.checkpoint_dir);
-  opts.checkpoint_every_polls = 3;
-  MonitorEngine eng = make_engine(opts);
-  ASSERT_EQ(eng.checkpoint_path(), opts.checkpoint_dir + "/fleet.nckp");
-
-  const std::size_t chunk = 113;
-  feed_rounds(eng, chunk, 0, 2);
-  EXPECT_EQ(eng.checkpoints_written(), 0u);  // 2 polls < every 3
-  feed_rounds(eng, chunk, 2, 3);
-  EXPECT_EQ(eng.checkpoints_written(), 1u);
-  feed_rounds(eng, chunk, 3, 9);
-  EXPECT_EQ(eng.checkpoints_written(), 3u);
-
-  // The file on disk is always a complete, loadable checkpoint.
-  MonitorEngine restored = MonitorEngine::restore(eng.checkpoint_path());
-  EXPECT_EQ(restored.sessions(), eng.sessions());
-
-  // Window-count trigger.
-  MonitorEngineOptions wopts;
-  wopts.checkpoint_dir = opts.checkpoint_dir;
-  wopts.checkpoint_every_polls = 0;
-  wopts.checkpoint_every_windows = 10;
-  MonitorEngine weng = make_engine(wopts);
-  feed_rounds(weng, 1200, 0, 1);  // the whole print in one round
-  EXPECT_EQ(weng.checkpoints_written(), 1u);
-
-  std::filesystem::remove_all(opts.checkpoint_dir);
-}
+// Corruption, misuse
 
 TEST_F(CheckpointFleetTest, CorruptedCheckpointNeverPartiallyRestores) {
   MonitorEngine eng = make_engine();

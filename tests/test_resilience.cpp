@@ -203,7 +203,7 @@ std::vector<Verdict> run_monitor_engine(const Fixture& fx) {
         if (hi < sig.frames()) more = true;
       }
     }
-    eng.poll();
+    eng.poll_inline();
   }
   std::vector<Verdict> out;
   for (const auto& snap : eng.snapshots()) out.push_back(to_verdict(snap));
@@ -753,7 +753,6 @@ TEST(Supervision, RestartFromCheckpointRecoversBitwise) {
   ShardedFleetOptions fopts;
   fopts.shards = 2;
   fopts.checkpoint_dir = ckpt.str();
-  fopts.checkpoint_every_polls = 1;
   fopts.supervision.restart_from_checkpoint = true;
   fopts.supervision.max_restarts = 3;
   fopts.worker_fault_hook = [&](std::size_t shard, const FrameBatch&) {

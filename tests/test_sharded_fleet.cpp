@@ -12,10 +12,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -219,7 +222,7 @@ std::vector<Verdict> run_monitor_engine(const Fixture& fx) {
   for (std::size_t s = 0; s < fx.sessions(); ++s) eng.add_session(fx.spec(s));
   replay(fx, [&](std::size_t s, const std::string& ch, const SignalView& v) {
     eng.feed(s, ch, v);
-    eng.poll();
+    eng.poll_inline();
   });
   std::vector<Verdict> out;
   for (const auto& snap : eng.snapshots()) out.push_back(to_verdict(snap));
@@ -599,6 +602,113 @@ TEST(ShardedFleet, EvictionSurvivesRestore) {
   EXPECT_EQ(restored->feed(1, "ACC", chunk).status, FeedStatus::kOk);
 }
 
+TEST(ShardedFleet, CheckpointsOncePerDrainRound) {
+  // The fleet owns the checkpoint cadence: one write per drain round (a
+  // worker batch round, or flush() in inline mode), plus one per
+  // admission and per inline-mode eviction.  ShardStats counts exactly
+  // these writes, and the file on disk always restores to the live state.
+  const Fixture fx(2, /*attack_session=*/99);
+  const auto shard0 = [](const ShardedFleet& f) {
+    return f.stats().per_shard[0];
+  };
+  const auto expect_file_matches = [&](const ShardedFleet& fleet,
+                                       const std::string& dir,
+                                       const ShardedFleetOptions& opts) {
+    const std::unique_ptr<ShardedFleet> restored =
+        ShardedFleet::restore(dir, opts);
+    ASSERT_EQ(restored->sessions(), fleet.sessions());
+    for (std::size_t s = 0; s < fleet.sessions(); ++s) {
+      EXPECT_EQ(to_verdict(restored->snapshot(s)),
+                to_verdict(fleet.snapshot(s)))
+          << "session " << s;
+    }
+  };
+  const auto feed_chunk = [&](ShardedFleet& fleet, std::size_t s,
+                              std::size_t round) {
+    for (std::size_t c = 0; c < fx.channels.size(); ++c) {
+      const SignalView sig(fx.streams[s][c]);
+      ASSERT_EQ(fleet
+                    .feed(s, fx.channels[c],
+                          sig.slice(round * kChunk, (round + 1) * kChunk))
+                    .status,
+                FeedStatus::kOk);
+    }
+  };
+
+  {
+    SCOPED_TRACE("inline");
+    TempDir dir("cadence_inline");
+    ShardedFleetOptions opts;
+    opts.shards = 0;
+    opts.checkpoint_dir = dir.str();
+    ShardedFleet fleet(opts);
+    for (std::size_t s = 0; s < fx.sessions(); ++s) {
+      fleet.add_session(fx.spec(s));
+    }
+    EXPECT_EQ(shard0(fleet).checkpoints_written, 2u);  // one per admission
+    for (std::size_t round = 0; round < 3; ++round) {
+      for (std::size_t s = 0; s < fx.sessions(); ++s) {
+        feed_chunk(fleet, s, round);
+      }
+      fleet.flush();
+      EXPECT_EQ(shard0(fleet).checkpoints_written, 3u + round);
+      expect_file_matches(fleet, dir.str(), opts);
+    }
+    fleet.evict_session(0);  // inline eviction writes synchronously
+    EXPECT_EQ(shard0(fleet).checkpoints_written, 6u);
+    expect_file_matches(fleet, dir.str(), opts);
+  }
+
+  {
+    SCOPED_TRACE("worker");
+    TempDir dir("cadence_worker");
+    // Parks the worker inside one round so the next round is known to
+    // hold both a feed and an eviction.
+    std::mutex mu;
+    std::condition_variable cv;
+    bool parked = false;
+    bool released = false;
+    std::atomic<bool> park_next{false};
+    ShardedFleetOptions opts;
+    opts.shards = 1;
+    opts.checkpoint_dir = dir.str();
+    opts.worker_fault_hook = [&](std::size_t, const engine::FrameBatch&) {
+      if (!park_next.exchange(false)) return;
+      std::unique_lock lock(mu);
+      parked = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return released; });
+    };
+    ShardedFleet fleet(opts);
+    for (std::size_t s = 0; s < fx.sessions(); ++s) {
+      fleet.add_session(fx.spec(s));
+    }
+    const engine::ShardStats before = shard0(fleet);
+    EXPECT_EQ(before.checkpoints_written, 2u);
+
+    park_next = true;
+    feed_chunk(fleet, 0, 0);  // round A: the worker parks inside it
+    {
+      std::unique_lock lock(mu);
+      cv.wait(lock, [&] { return parked; });
+    }
+    feed_chunk(fleet, 1, 0);  // round B: a feed and an eviction
+    fleet.evict_session(0);
+    {
+      const std::scoped_lock lock(mu);
+      released = true;
+    }
+    cv.notify_all();
+    fleet.flush();
+
+    const engine::ShardStats after = shard0(fleet);
+    EXPECT_EQ(after.polls - before.polls, 2u);
+    EXPECT_EQ(after.checkpoints_written - before.checkpoints_written, 2u);
+    EXPECT_TRUE(fleet.snapshot(0).evicted);
+    expect_file_matches(fleet, dir.str(), opts);
+  }
+}
+
 TEST(ShardedFleet, RestoreRejectsMissingAndInconsistentShardFiles) {
   const Fixture fx(3, /*attack_session=*/99);
   TempDir dir("badset");
@@ -683,7 +793,7 @@ TEST(ShardedFleet, WeightedSessionsAreShardInvariant) {
   }
   replay(fx, [&](std::size_t s, const std::string& ch, const SignalView& v) {
     eng.feed(s, ch, v);
-    eng.poll();
+    eng.poll_inline();
   });
   const std::vector<engine::SessionSnapshot> baseline = eng.snapshots();
   EXPECT_EQ(baseline[0].policy, "weighted");
