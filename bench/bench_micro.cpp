@@ -1,14 +1,18 @@
 // google-benchmark micro benchmarks for the hot paths: FFT (cached vs
 // uncached plans, complex vs real-input), sliding correlation (naive vs
-// FFT — the TDE ablation), one DWM window step, the steady-state DWM
-// streaming loop, spectrogram columns, FastDTW, the CRC-32 over wire
-// frames and checkpoints, and end-to-end dataset generation across
-// runtime pool sizes (timed in wall-clock time, since the work runs on
-// pool threads).
+// FFT — the TDE ablation), the direct vs FFT valid-lag numerator across
+// the shapes that bracket their crossover, one DWM window step, the
+// steady-state DWM streaming loop, spectrogram columns, FastDTW, the
+// CRC-32 over wire frames and checkpoints, and end-to-end dataset
+// generation across runtime pool sizes (timed in wall-clock time, since
+// the work runs on pool threads).
 //
 // Accepts `--json <path>` in addition to the standard benchmark flags:
 // shorthand for --benchmark_out=<path> --benchmark_out_format=json, used
-// by run_benches.sh to emit BENCH_micro.json.
+// by run_benches.sh to emit BENCH_micro.json.  Committed captures add
+// --benchmark_repetitions=5; every benchmark then also reports min and
+// max over the repetitions, and the context records
+// hardware_concurrency.
 //
 // The SIMD-dispatched kernels (rfft, cross-correlation, sliding Pearson,
 // the TDEB epilogue, batched transforms) report roofline counters:
@@ -18,12 +22,14 @@
 // backend (`simd_isa`) so scalar and vector runs are distinguishable.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/dtw.hpp"
@@ -85,6 +91,23 @@ double rfft_flops(std::size_t n) {
                      std::log2(static_cast<double>(n));
 }
 
+double min_of(const std::vector<double>& v) {
+  return *std::min_element(v.begin(), v.end());
+}
+
+double max_of(const std::vector<double>& v) {
+  return *std::max_element(v.begin(), v.end());
+}
+
+/// Adds min and max over repetitions to the mean/median/stddev aggregates
+/// that --benchmark_repetitions=N reports, so a committed capture states
+/// its spread.
+void with_spread(benchmark::internal::Benchmark* b) {
+  b->ComputeStatistics("min", min_of)->ComputeStatistics("max", max_of);
+}
+
+#define SPREAD_BENCHMARK(fn) BENCHMARK(fn)->Apply(with_spread)
+
 void BM_FftRadix2(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<dsp::Complex> data(n);
@@ -98,7 +121,7 @@ void BM_FftRadix2(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_FftRadix2)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
+SPREAD_BENCHMARK(BM_FftRadix2)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_FftCached(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -113,7 +136,7 @@ void BM_FftCached(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_FftCached)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
+SPREAD_BENCHMARK(BM_FftCached)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_FftUncached(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -128,7 +151,7 @@ void BM_FftUncached(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_FftUncached)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
+SPREAD_BENCHMARK(BM_FftUncached)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_Rfft(benchmark::State& state) {
   // Real-input transform on the same sizes as BM_FftCached: the half-size
@@ -148,7 +171,7 @@ void BM_Rfft(benchmark::State& state) {
   set_roofline(state, rfft_flops(n),
                static_cast<double>(n * 8 + (n / 2 + 1) * 16));
 }
-BENCHMARK(BM_Rfft)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
+SPREAD_BENCHMARK(BM_Rfft)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_CrossCorrelateRfft(benchmark::State& state) {
   // The correlation kernel under TDE, on its workspace (zero-alloc) path.
@@ -167,7 +190,89 @@ void BM_CrossCorrelateRfft(benchmark::State& state) {
   set_roofline(state, 3.0 * rfft_flops(m) + 6.0 * static_cast<double>(m / 2 + 1),
                static_cast<double>((x.size() + y.size() + out.size()) * 8));
 }
-BENCHMARK(BM_CrossCorrelateRfft)->Arg(1024)->Arg(4096)->Arg(16384);
+SPREAD_BENCHMARK(BM_CrossCorrelateRfft)->Arg(1024)->Arg(4096)->Arg(16384);
+
+// Shapes for the direct-vs-FFT numerator pair below, as {nx, ny, lanes}:
+// the fleet saturate DWM window (2 channels), RM3 ACC (6 channels) and
+// RM3 AUD (1 channel) TDEB windows, then a 1-lane sweep at nx = 1024 and
+// 4096 whose ny steps cross dsp::direct_xcorr_wins() in both directions
+// (few lags x long template and many lags x short template both favour
+// direct; the middle favours the FFT).
+void xcorr_shapes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"nx", "ny", "lanes"});
+  b->Args({112, 64, 2})->Args({480, 400, 6})->Args({4800, 4000, 1});
+  for (const int ny : {64, 192, 256, 512, 768, 832, 960}) {
+    b->Args({1024, ny, 1});
+  }
+  for (const int ny : {192, 256, 1024, 3840, 3904}) {
+    b->Args({4096, ny, 1});
+  }
+}
+
+void BM_XcorrValidDirect(benchmark::State& state) {
+  // The direct valid-lag numerator kernel, once per lane: what the TDE
+  // runs on shapes where dsp::direct_xcorr_wins() holds.  Counter
+  // `direct_wins` records the rule's choice for the shape.
+  const auto nx = static_cast<std::size_t>(state.range(0));
+  const auto ny = static_cast<std::size_t>(state.range(1));
+  const auto lanes = static_cast<std::size_t>(state.range(2));
+  const std::size_t n_out = nx - ny + 1;
+  const auto x = random_series(nx * lanes, 31);
+  const auto y = random_series(ny * lanes, 32);
+  std::vector<double> out(n_out * lanes);
+  const auto& k = dsp::simd::ops();
+  for (auto _ : state) {
+    for (std::size_t l = 0; l < lanes; ++l) {
+      k.xcorr_valid_direct(x.data() + l * nx, y.data() + l * ny, ny,
+                           out.data() + l * n_out, n_out);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["direct_wins"] = dsp::direct_xcorr_wins(nx, ny) ? 1.0 : 0.0;
+  set_roofline(state, 2.0 * static_cast<double>(n_out * ny * lanes),
+               static_cast<double>((nx + ny + n_out) * lanes * 8));
+}
+SPREAD_BENCHMARK(BM_XcorrValidDirect)->Apply(xcorr_shapes);
+
+void BM_XcorrValidFft(benchmark::State& state) {
+  // The FFT branch of the batched TDE numerator at the same shapes:
+  // zero-pad to the valid-lag size, two lane-interleaved forward rffts,
+  // the bin product and one inverse.  Compare against
+  // BM_XcorrValidDirect to read off the crossover.
+  const auto nx = static_cast<std::size_t>(state.range(0));
+  const auto ny = static_cast<std::size_t>(state.range(1));
+  const auto lanes = static_cast<std::size_t>(state.range(2));
+  const std::size_t m = dsp::valid_lag_fft_size(nx);
+  const auto x = random_series(nx * lanes, 31);
+  const auto y = random_series(ny * lanes, 32);
+  dsp::BatchedRfftPlan plan(m, lanes);
+  std::vector<double> x_pad(m * lanes), y_pad(m * lanes);
+  std::vector<double> xr(plan.bins() * lanes), xi(plan.bins() * lanes);
+  std::vector<double> yr(plan.bins() * lanes), yi(plan.bins() * lanes);
+  const auto& k = dsp::simd::ops();
+  for (auto _ : state) {
+    std::fill(x_pad.begin(), x_pad.end(), 0.0);
+    std::fill(y_pad.begin(), y_pad.end(), 0.0);
+    std::copy(x.begin(), x.end(), x_pad.begin());
+    for (std::size_t i = 0; i < ny * lanes; ++i) {
+      y_pad[i] = y[ny * lanes - 1 - i];
+    }
+    plan.forward_interleaved(x_pad.data(), xr.data(), xi.data());
+    plan.forward_interleaved(y_pad.data(), yr.data(), yi.data());
+    k.cmul_split_inplace(xr.data(), xi.data(), yr.data(), yi.data(),
+                         plan.bins() * lanes);
+    plan.inverse_interleaved(xr.data(), xi.data(), x_pad.data());
+    benchmark::DoNotOptimize(x_pad.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["direct_wins"] = dsp::direct_xcorr_wins(nx, ny) ? 1.0 : 0.0;
+  set_roofline(state,
+               static_cast<double>(lanes) *
+                   (3.0 * rfft_flops(m) + 6.0 * static_cast<double>(m / 2 + 1)),
+               static_cast<double>((nx + ny + m) * lanes * 8));
+}
+SPREAD_BENCHMARK(BM_XcorrValidFft)->Apply(xcorr_shapes);
 
 void BM_CrossCorrelateComplex(benchmark::State& state) {
   // Pre-rfft implementation (full complex FFTs, allocating) for reference.
@@ -179,7 +284,7 @@ void BM_CrossCorrelateComplex(benchmark::State& state) {
     benchmark::DoNotOptimize(out);
   }
 }
-BENCHMARK(BM_CrossCorrelateComplex)->Arg(1024)->Arg(4096)->Arg(16384);
+SPREAD_BENCHMARK(BM_CrossCorrelateComplex)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_FftBluestein(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -192,7 +297,7 @@ void BM_FftBluestein(benchmark::State& state) {
     benchmark::DoNotOptimize(out);
   }
 }
-BENCHMARK(BM_FftBluestein)->Arg(1000)->Arg(4095);
+SPREAD_BENCHMARK(BM_FftBluestein)->Arg(1000)->Arg(4095);
 
 void BM_SlidingPearsonNaive(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -203,7 +308,7 @@ void BM_SlidingPearsonNaive(benchmark::State& state) {
     benchmark::DoNotOptimize(s);
   }
 }
-BENCHMARK(BM_SlidingPearsonNaive)->Arg(1024)->Arg(4096)->Arg(16384);
+SPREAD_BENCHMARK(BM_SlidingPearsonNaive)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_SlidingPearsonFft(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -223,7 +328,7 @@ void BM_SlidingPearsonFft(benchmark::State& state) {
                    8.0 * static_cast<double>(n_out),
                static_cast<double>((x.size() * 3 + n_out) * 8));
 }
-BENCHMARK(BM_SlidingPearsonFft)->Arg(1024)->Arg(4096)->Arg(16384);
+SPREAD_BENCHMARK(BM_SlidingPearsonFft)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_SlidingPearsonFftInto(benchmark::State& state) {
   // Workspace (allocation-free) variant: what the TDE loop actually runs.
@@ -243,7 +348,7 @@ void BM_SlidingPearsonFftInto(benchmark::State& state) {
                    8.0 * static_cast<double>(out.size()),
                static_cast<double>((x.size() * 3 + out.size()) * 8));
 }
-BENCHMARK(BM_SlidingPearsonFftInto)->Arg(1024)->Arg(4096)->Arg(16384);
+SPREAD_BENCHMARK(BM_SlidingPearsonFftInto)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_BatchedRfft(benchmark::State& state) {
   // All-channels-in-one-plan transform, lane-interleaved input: 6 lanes
@@ -265,7 +370,7 @@ void BM_BatchedRfft(benchmark::State& state) {
   set_roofline(state, static_cast<double>(lanes) * rfft_flops(n),
                static_cast<double>(lanes * (n * 8 + (n / 2 + 1) * 16)));
 }
-BENCHMARK(BM_BatchedRfft)
+SPREAD_BENCHMARK(BM_BatchedRfft)
     ->ArgNames({"n", "lanes"})
     ->Args({1024, 6})
     ->Args({4096, 6})
@@ -285,7 +390,7 @@ void BM_Crc32(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(65536);
+SPREAD_BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(65536);
 
 void BM_TdebEpilogue(benchmark::State& state) {
   // The fused clamp + Gaussian-bias + argmax pass over a score array
@@ -306,19 +411,32 @@ void BM_TdebEpilogue(benchmark::State& state) {
   set_roofline(state, 3.0 * static_cast<double>(n),
                static_cast<double>(n * 16));
 }
-BENCHMARK(BM_TdebEpilogue)->Arg(801)->Arg(4096)->Arg(16384);
+SPREAD_BENCHMARK(BM_TdebEpilogue)->Arg(801)->Arg(4096)->Arg(16384);
 
 void BM_DwmWindowStep(benchmark::State& state) {
-  // One TDEB evaluation with UM3-at-400Hz-like dimensions.
-  const auto b = random_signal(4096, 6, 3);
-  const auto a = random_signal(1600, 6, 4);
+  // One TDEB evaluation on a workspace (the DWM's per-window call):
+  // an nx-frame extended reference slice, an ny-frame observed window,
+  // Gaussian bias centred at n_ext with sigma n_ext / 2.
+  const auto nx = static_cast<std::size_t>(state.range(0));
+  const auto ny = static_cast<std::size_t>(state.range(1));
+  const auto channels = static_cast<std::size_t>(state.range(2));
+  const auto n_ext = static_cast<double>(state.range(3));
+  const auto b = random_signal(nx, channels, 3);
+  const auto a = random_signal(ny, channels, 4);
+  core::TdeWorkspace ws;
   for (auto _ : state) {
-    auto j = core::estimate_delay_biased(b, signal::SignalView(a), 800.0,
-                                         400.0);
+    auto j = core::estimate_delay_biased(b, signal::SignalView(a), n_ext,
+                                         0.5 * n_ext, core::TdeOptions{}, ws);
     benchmark::DoNotOptimize(j);
   }
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_DwmWindowStep);
+// UM3-at-400Hz-like dimensions, then the fleet saturate window
+// (n_win 64, n_ext 24, two channels).
+SPREAD_BENCHMARK(BM_DwmWindowStep)
+    ->ArgNames({"nx", "ny", "ch", "n_ext"})
+    ->Args({4096, 1600, 6, 800})
+    ->Args({112, 64, 2, 24});
 
 void BM_DwmWindow(benchmark::State& state) {
   // Steady-state cost of one streaming DWM window: a warmed synchronizer
@@ -354,7 +472,7 @@ void BM_DwmWindow(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_DwmWindow);
+SPREAD_BENCHMARK(BM_DwmWindow);
 
 void BM_Spectrogram(benchmark::State& state) {
   const auto s = random_signal(static_cast<std::size_t>(state.range(0)), 2,
@@ -367,7 +485,7 @@ void BM_Spectrogram(benchmark::State& state) {
     benchmark::DoNotOptimize(sp);
   }
 }
-BENCHMARK(BM_Spectrogram)->Arg(8192)->Arg(32768);
+SPREAD_BENCHMARK(BM_Spectrogram)->Arg(8192)->Arg(32768);
 
 void BM_FastDtw(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -378,7 +496,7 @@ void BM_FastDtw(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
   }
 }
-BENCHMARK(BM_FastDtw)->Arg(256)->Arg(1024)->Arg(4096);
+SPREAD_BENCHMARK(BM_FastDtw)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_DwmAlign(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -394,7 +512,7 @@ void BM_DwmAlign(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
   }
 }
-BENCHMARK(BM_DwmAlign)->Arg(1024)->Arg(4096);
+SPREAD_BENCHMARK(BM_DwmAlign)->Arg(1024)->Arg(4096);
 
 void BM_DatasetParallel(benchmark::State& state) {
   // End-to-end tiny-roster generation (26 simulated processes, ACC+AUD
@@ -411,7 +529,7 @@ void BM_DatasetParallel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   runtime::set_worker_count(0);  // restore automatic sizing
 }
-BENCHMARK(BM_DatasetParallel)
+SPREAD_BENCHMARK(BM_DatasetParallel)
     ->ArgName("threads")
     ->Arg(1)
     ->Arg(2)
@@ -452,6 +570,9 @@ int main(int argc, char** argv) {
       nsync::dsp::simd::isa_name(nsync::dsp::simd::best_supported_isa()));
   benchmark::AddCustomContext(
       "simd_built", nsync::dsp::simd::built_with_simd() ? "true" : "false");
+  benchmark::AddCustomContext(
+      "hardware_concurrency",
+      std::to_string(std::thread::hardware_concurrency()));
   if (benchmark::ReportUnrecognizedArguments(fake_argc, args.data())) {
     return 1;
   }

@@ -38,16 +38,18 @@ std::span<const double> channel_span(const SignalView& s, std::size_t c,
   return buf;
 }
 
-// All channels of the FFT sliding correlation through one batched plan.
+// All channels of the sliding correlation in one pass.
 //
 // This mirrors sliding_pearson_fft_into channel by channel — same
-// centering, same valid-lag padding, same prefix-sum normalization,
-// same degenerate-template early-out — but runs every transform as one
-// lane-interleaved BatchedRfftPlan pass and every pre/post pass as a
-// row-wise dispatched kernel.  The per-channel operation sequence is
-// identical to the sequential scalar path (the row kernels accumulate
-// each channel's reductions sequentially across frames), so the result
-// is bitwise equal to looping sliding_pearson_fft_into under the scalar
+// centering, same numerator rule (dsp::direct_xcorr_wins), same
+// prefix-sum normalization, same degenerate-template early-out — but
+// runs every pre/post pass as a row-wise dispatched kernel and, on the
+// FFT branch, every transform as one lane-interleaved BatchedRfftPlan
+// pass.  The per-channel operation sequence is identical to the
+// sequential scalar path (the row kernels accumulate each channel's
+// reductions sequentially across frames, and the direct numerator is
+// the same kernel on the same centered samples), so the result is
+// bitwise equal to looping sliding_pearson_fft_into under the scalar
 // backend — which is what the per-channel loop used to produce.
 void similarity_scores_batched(const SignalView& x, const SignalView& y,
                                TdeWorkspace& ws) {
@@ -56,6 +58,7 @@ void similarity_scores_batched(const SignalView& x, const SignalView& y,
   const std::size_t nx = x.frames();
   const std::size_t ny = y.frames();
   const std::size_t n_out = nx - ny + 1;
+  const bool direct = nsync::dsp::direct_xcorr_wins(nx, ny);
 
   // Per-channel means (sequential per channel, like signal::mean on an
   // extracted channel under the scalar backend).
@@ -66,16 +69,17 @@ void similarity_scores_batched(const SignalView& x, const SignalView& y,
   for (auto& v : ws.mu_x) v /= static_cast<double>(nx);
   for (auto& v : ws.mu_y) v /= static_cast<double>(ny);
 
-  const std::size_t m = nsync::dsp::valid_lag_fft_size(nx);
-  const std::size_t bins = m / 2 + 1;
-  if (!ws.batched.plan || ws.batched.plan->size() != m || ws.batched.plan->lanes() != C) {
-    ws.batched.plan = std::make_unique<nsync::dsp::BatchedRfftPlan>(m, C);
+  // Centered x; centered, time-reversed y with the per-channel template
+  // energy fused into the reversal pass.  The FFT branch zero-pads both
+  // to the valid-lag transform size; the direct branch needs no padding.
+  const std::size_t m = direct ? 0 : nsync::dsp::valid_lag_fft_size(nx);
+  if (direct) {
+    ws.x_pad.resize(nx * C);
+    ws.y_pad.resize(ny * C);
+  } else {
+    ws.x_pad.assign(m * C, 0.0);
+    ws.y_pad.assign(m * C, 0.0);
   }
-
-  // Zero-padded, centered x; zero-padded, centered, time-reversed y with
-  // the per-channel template energy fused into the reversal pass.
-  ws.x_pad.assign(m * C, 0.0);
-  ws.y_pad.assign(m * C, 0.0);
   k.center_rows(x.data(), nx, C, ws.mu_x.data(), ws.x_pad.data());
   ws.y_energy.assign(C, 0.0);
   k.center_rows_reversed_energy(y.data(), ny, C, ws.mu_y.data(),
@@ -87,19 +91,46 @@ void similarity_scores_batched(const SignalView& x, const SignalView& y,
   ws.ps2.resize((nx + 1) * C);
   k.prefix_sums_rows(ws.x_pad.data(), ws.ps.data(), ws.ps2.data(), nx, C);
 
-  ws.spec_x_re.resize(bins * C);
-  ws.spec_x_im.resize(bins * C);
-  ws.spec_y_re.resize(bins * C);
-  ws.spec_y_im.resize(bins * C);
-  ws.batched.plan->forward_interleaved(ws.x_pad.data(), ws.spec_x_re.data(),
-                                  ws.spec_x_im.data());
-  ws.batched.plan->forward_interleaved(ws.y_pad.data(), ws.spec_y_re.data(),
-                                  ws.spec_y_im.data());
-  k.cmul_split_inplace(ws.spec_x_re.data(), ws.spec_x_im.data(),
-                       ws.spec_y_re.data(), ws.spec_y_im.data(), bins * C);
-  ws.batched.plan->inverse_interleaved(ws.spec_x_re.data(), ws.spec_x_im.data(),
-                                  ws.x_pad.data());
-  // Numerator for window n of channel c: ws.x_pad[(n + ny - 1) * C + c].
+  // Numerator for window n of channel c: num[n * C + c].
+  const double* num = nullptr;
+  if (direct) {
+    ws.x_chan.resize(nx);
+    ws.y_chan.resize(ny);
+    ws.chan_scores.resize(n_out);
+    ws.num.resize(n_out * C);
+    for (std::size_t c = 0; c < C; ++c) {
+      for (std::size_t i = 0; i < nx; ++i) ws.x_chan[i] = ws.x_pad[i * C + c];
+      for (std::size_t i = 0; i < ny; ++i) {
+        ws.y_chan[i] = ws.y_pad[(ny - 1 - i) * C + c];
+      }
+      // chan_scores stages this channel's numerator until the scatter.
+      k.xcorr_valid_direct(ws.x_chan.data(), ws.y_chan.data(), ny,
+                           ws.chan_scores.data(), n_out);
+      for (std::size_t n = 0; n < n_out; ++n) {
+        ws.num[n * C + c] = ws.chan_scores[n];
+      }
+    }
+    num = ws.num.data();
+  } else {
+    const std::size_t bins = m / 2 + 1;
+    if (!ws.batched.plan || ws.batched.plan->size() != m ||
+        ws.batched.plan->lanes() != C) {
+      ws.batched.plan = std::make_unique<nsync::dsp::BatchedRfftPlan>(m, C);
+    }
+    ws.spec_x_re.resize(bins * C);
+    ws.spec_x_im.resize(bins * C);
+    ws.spec_y_re.resize(bins * C);
+    ws.spec_y_im.resize(bins * C);
+    ws.batched.plan->forward_interleaved(ws.x_pad.data(), ws.spec_x_re.data(),
+                                         ws.spec_x_im.data());
+    ws.batched.plan->forward_interleaved(ws.y_pad.data(), ws.spec_y_re.data(),
+                                         ws.spec_y_im.data());
+    k.cmul_split_inplace(ws.spec_x_re.data(), ws.spec_x_im.data(),
+                         ws.spec_y_re.data(), ws.spec_y_im.data(), bins * C);
+    ws.batched.plan->inverse_interleaved(
+        ws.spec_x_re.data(), ws.spec_x_im.data(), ws.x_pad.data());
+    num = ws.x_pad.data() + (ny - 1) * C;
+  }
 
   ws.scores.assign(n_out, 0.0);
   ws.chan_scores.resize(n_out);
@@ -112,8 +143,8 @@ void similarity_scores_batched(const SignalView& x, const SignalView& y,
       std::fill(ws.chan_scores.begin(), ws.chan_scores.end(), 0.0);
     } else {
       k.normalize_windows_strided(ws.ps.data() + c, ws.ps2.data() + c, C, ny,
-                                  y_norm, ws.x_pad.data() + (ny - 1) * C + c,
-                                  ws.chan_scores.data(), n_out);
+                                  y_norm, num + c, ws.chan_scores.data(),
+                                  n_out);
     }
     k.add_arrays(ws.scores.data(), ws.chan_scores.data(), n_out);
   }

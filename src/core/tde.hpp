@@ -47,13 +47,14 @@ struct TdeWorkspace {
   std::vector<double> scores;       ///< channel-averaged similarity
   nsync::dsp::SlidingPearsonWorkspace pearson;
 
-  // Batched multichannel FFT path (channels > 1): all channels run
-  // through one lane-interleaved BatchedRfftPlan instead of a per-channel
-  // transform loop.  The plan is rebuilt only when the padded size or
-  // channel count changes, so the DWM steady state (fixed window shape)
-  // allocates nothing here.  The cache wrapper copies as empty so the
-  // workspace stays copyable (the plan is keyed scratch, rebuilt on
-  // demand).
+  // Batched multichannel path (channels > 1).  On the FFT branch all
+  // channels run through one lane-interleaved BatchedRfftPlan instead of
+  // a per-channel transform loop; the direct branch (short lag ranges,
+  // dsp::direct_xcorr_wins) builds no plan.  The plan is rebuilt only
+  // when the padded size or channel count changes, so the DWM steady
+  // state (fixed window shape) allocates nothing here.  The cache
+  // wrapper copies as empty so the workspace stays copyable (the plan is
+  // keyed scratch, rebuilt on demand).
   struct BatchedPlanCache {
     std::unique_ptr<nsync::dsp::BatchedRfftPlan> plan;
     BatchedPlanCache() = default;
@@ -69,12 +70,14 @@ struct TdeWorkspace {
   std::vector<double> mu_x;       ///< per-channel means of x
   std::vector<double> mu_y;       ///< per-channel means of y
   std::vector<double> y_energy;   ///< per-channel centered template energy
-  std::vector<double> x_pad;      ///< centered x, lane-interleaved, padded
-  std::vector<double> y_pad;      ///< centered reversed y, padded
+  std::vector<double> x_pad;      ///< centered x, lane-interleaved
+  std::vector<double> y_pad;      ///< centered reversed y (both zero-padded
+                                  ///< on the FFT branch)
   std::vector<double> spec_x_re;  ///< batched spectra (split planes)
   std::vector<double> spec_x_im;
   std::vector<double> spec_y_re;
   std::vector<double> spec_y_im;
+  std::vector<double> num;  ///< direct-branch numerators (row-interleaved)
   std::vector<double> ps;   ///< per-channel prefix sums (row-interleaved)
   std::vector<double> ps2;  ///< per-channel prefix sums of squares
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <mutex>
@@ -355,6 +356,21 @@ std::size_t valid_lag_fft_size(std::size_t nx) {
   return next_power_of_two(std::max<std::size_t>(nx, 2));
 }
 
+bool direct_xcorr_wins(std::size_t nx, std::size_t ny) {
+  // Direct cost: one multiply-add per (lag, tap).  FFT cost: three real
+  // transforms of the valid-lag size, ~m log2 m each, plus padding.
+  // kDirectPerFft is the measured ratio of the two unit costs
+  // (bench_micro BM_XcorrValidDirect vs BM_XcorrValidFft, DESIGN.md
+  // §3.2): median about 18 under AVX2 and about 10 under the scalar
+  // fallback.  16 sits between them, leaning towards the vector backend
+  // production hosts resolve to.  The rule must not depend on the
+  // backend: cross-backend bitwise equality needs one path per shape.
+  constexpr std::size_t kDirectPerFft = 16;
+  const std::size_t m = valid_lag_fft_size(nx);
+  const auto log2m = static_cast<std::size_t>(std::bit_width(m) - 1);
+  return (nx - ny + 1) * ny <= kDirectPerFft * m * log2m;
+}
+
 void fft_radix2(std::span<Complex> data, bool inverse) {
   const std::size_t n = data.size();
   if (n == 0) return;
@@ -549,6 +565,10 @@ void cross_correlate_valid_into(std::span<const double> x,
     throw std::invalid_argument(
         "cross_correlate_valid_into: out.size() must be "
         "x.size() - y.size() + 1");
+  }
+  if (direct_xcorr_wins(nx, ny)) {
+    simd::ops().xcorr_valid_direct(x.data(), y.data(), ny, out.data(), n_out);
+    return;
   }
   const std::size_t m = valid_lag_fft_size(nx);
   const std::size_t h = m / 2;

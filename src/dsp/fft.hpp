@@ -6,7 +6,8 @@
 // trick: a length-N real FFT runs as one length-N/2 complex FFT plus an
 // O(N) untangling pass, roughly halving the work of the complex path.
 // The N/2+1 non-negative-frequency bins feed the spectrogram pipeline
-// (Table III of the paper) and the fast TDE cross-correlation.
+// (Table III of the paper) and the TDE cross-correlation on long lag
+// ranges; short lag ranges take a direct sum (direct_xcorr_wins below).
 //
 // All entry points share a process-wide, thread-safe plan cache: radix-2
 // twiddle factors and bit-reversal permutations are computed once per
@@ -94,12 +95,26 @@ struct CorrelationWorkspace {
 /// Padding to nx + ny (the full linear length) is never needed.
 [[nodiscard]] std::size_t valid_lag_fft_size(std::size_t nx);
 
-/// Linear cross-correlation of x with y via FFT zero-padding:
+/// True when the valid-lag correlation numerator of an nx-sample signal
+/// with an ny-sample template (ny <= nx) is cheaper by direct summation
+/// than by FFT: (nx - ny + 1) * ny multiply-adds against a constant
+/// multiple of m log2 m, m = valid_lag_fft_size(nx).  A pure function of
+/// the shape, so every numerator producer (cross_correlate_valid_into and
+/// the batched multichannel TDE) picks the same path for the same shape
+/// on every backend.  DWM windows (short lag ranges) go direct; long
+/// templates with many lags (RM3 AUD) stay on the FFT.
+[[nodiscard]] bool direct_xcorr_wins(std::size_t nx, std::size_t ny);
+
+/// Linear cross-correlation of x with y:
 ///   out[k] = sum_n x[n + k] * y[n],  k = 0 .. x.size() - y.size()
 /// Requires x.size() >= y.size().  This is the unnormalized numerator used
-/// by the fast sliding-correlation TDE path.  Runs on the real-FFT
+/// by the fast sliding-correlation TDE path.  Shapes where
+/// direct_xcorr_wins() run the dispatched direct kernel (bitwise across
+/// backends, ascending-n summation per lag); the rest run on the real-FFT
 /// kernels (two rfft + one irfft at half the complex transform size),
-/// padded to valid_lag_fft_size(x.size()).
+/// padded to valid_lag_fft_size(x.size()).  On non-finite input the
+/// direct path is non-finite only at lags whose window overlaps the bad
+/// sample, while the FFT path spreads it to every lag.
 [[nodiscard]] std::vector<double> cross_correlate_valid(
     std::span<const double> x, std::span<const double> y);
 

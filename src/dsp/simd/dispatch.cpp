@@ -22,7 +22,8 @@ namespace {
       ns::mul_rows_broadcast_real, ns::add_arrays, ns::scale,           \
       ns::normalize_windows, ns::normalize_windows_strided,             \
       ns::clamp_weight_argmax, ns::channel_sums, ns::center_rows,       \
-      ns::center_rows_reversed_energy, ns::prefix_sums_rows, ns::sum,   \
+      ns::center_rows_reversed_energy, ns::prefix_sums_rows,            \
+      ns::xcorr_valid_direct, ns::sum,                                  \
       ns::centered_energy, ns::subtract_scalar_energy,                  \
       ns::pearson_accumulate, ns::prefix_sums
 

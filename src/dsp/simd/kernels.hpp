@@ -76,6 +76,8 @@
                                    double* dst, double* energy);             \
   void prefix_sums_rows(const double* x, double* ps, double* ps2,            \
                         std::size_t frames, std::size_t channels);           \
+  void xcorr_valid_direct(const double* x, const double* y, std::size_t ny,  \
+                          double* num, std::size_t n_out);                   \
   double sum(const double* x, std::size_t n);                                \
   double centered_energy(const double* x, double mu, std::size_t n);         \
   double subtract_scalar_energy(const double* src, double mu, double* dst,   \

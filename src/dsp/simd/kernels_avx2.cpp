@@ -28,6 +28,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 namespace nsync::dsp::simd::avx2 {
 namespace {
@@ -974,6 +975,104 @@ void prefix_sums_rows(const double* x, double* ps, double* ps2,
       ps[(nf + 1) * channels + c] = run;
       ps2[(nf + 1) * channels + c] = run2;
     }
+  }
+}
+
+namespace {
+
+/// One register block of the direct correlation: sizeof...(I)
+/// accumulators of four consecutive lags each, lags [0, 4 * sizeof...(I))
+/// relative to x/num.  Every lane runs the scalar chain
+/// acc += x[n + k] * y[k] in ascending k (separate multiply and add, no
+/// FMA), so the block is bitwise equal to the scalar loop.  With Masked,
+/// the last accumulator covers only the lanes set in `mask`: maskload
+/// reads zeros for the others (never touching memory past x's end) and
+/// maskstore writes only the live lags.  The accumulators are expanded
+/// from the index pack so they stay in registers at any optimization
+/// level.
+template <bool Masked, std::size_t... I>
+inline void xcorr_direct_block(const double* x, const double* y,
+                               std::size_t ny, double* num, __m256i mask,
+                               std::index_sequence<I...> /*lanes*/) {
+  constexpr std::size_t kLast = sizeof...(I) - 1;
+  const auto load = [mask](std::size_t a, const double* p) {
+    return Masked && a == kLast ? _mm256_maskload_pd(p, mask)
+                                : _mm256_loadu_pd(p);
+  };
+  __m256d acc[] = {((void)I, _mm256_setzero_pd())...};
+  for (std::size_t k = 0; k < ny; ++k) {
+    const __m256d yk = _mm256_broadcast_sd(y + k);
+    ((acc[I] = _mm256_add_pd(acc[I], _mm256_mul_pd(load(I, x + 4 * I + k),
+                                                   yk))),
+     ...);
+  }
+  const auto store = [mask](std::size_t a, double* p, __m256d v) {
+    if (Masked && a == kLast) {
+      _mm256_maskstore_pd(p, mask, v);
+    } else {
+      _mm256_storeu_pd(p, v);
+    }
+  };
+  (store(I, num + 4 * I, acc[I]), ...);
+}
+
+}  // namespace
+
+void xcorr_valid_direct(const double* x, const double* y, std::size_t ny,
+                        double* num, std::size_t n_out) {
+  // 8 accumulators x 4 lags: enough independent add chains to cover the
+  // add latency, while the 8 accumulators, the broadcast y[k] and a load
+  // temporary fit the 16 ymm registers.
+  constexpr std::size_t kBlock = 32;
+  std::size_t n = 0;
+  const __m256i all = _mm256_set1_epi64x(-1);
+  for (; n + kBlock <= n_out; n += kBlock) {
+    xcorr_direct_block<false>(x + n, y, ny, num + n, all,
+                              std::make_index_sequence<8>{});
+  }
+  const std::size_t rest = n_out - n;
+  if (rest == 0) return;
+  // The remaining 1..31 lags run as one narrower block (not per-lag
+  // scalar chains), its last vector masked down to the live lanes.
+  const std::size_t vecs = (rest + 3) / 4;
+  const auto live = static_cast<long long>(rest - 4 * (vecs - 1));
+  const __m256i mask = _mm256_cmpgt_epi64(_mm256_set1_epi64x(live),
+                                          _mm256_set_epi64x(3, 2, 1, 0));
+  x += n;
+  num += n;
+  switch (vecs) {
+    case 1:
+      xcorr_direct_block<true>(x, y, ny, num, mask,
+                               std::make_index_sequence<1>{});
+      break;
+    case 2:
+      xcorr_direct_block<true>(x, y, ny, num, mask,
+                               std::make_index_sequence<2>{});
+      break;
+    case 3:
+      xcorr_direct_block<true>(x, y, ny, num, mask,
+                               std::make_index_sequence<3>{});
+      break;
+    case 4:
+      xcorr_direct_block<true>(x, y, ny, num, mask,
+                               std::make_index_sequence<4>{});
+      break;
+    case 5:
+      xcorr_direct_block<true>(x, y, ny, num, mask,
+                               std::make_index_sequence<5>{});
+      break;
+    case 6:
+      xcorr_direct_block<true>(x, y, ny, num, mask,
+                               std::make_index_sequence<6>{});
+      break;
+    case 7:
+      xcorr_direct_block<true>(x, y, ny, num, mask,
+                               std::make_index_sequence<7>{});
+      break;
+    default:
+      xcorr_direct_block<true>(x, y, ny, num, mask,
+                               std::make_index_sequence<8>{});
+      break;
   }
 }
 

@@ -665,6 +665,12 @@ void prefix_sums_rows(const double* x, double* ps, double* ps2,
   }
 }
 
+void xcorr_valid_direct(const double* x, const double* y, std::size_t ny,
+                        double* num, std::size_t n_out) {
+  // No NEON body yet: the scalar loop is the bitwise reference.
+  scalar::xcorr_valid_direct(x, y, ny, num, n_out);
+}
+
 // --- ULP-bounded reductions ---------------------------------------------
 
 namespace {

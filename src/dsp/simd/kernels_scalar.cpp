@@ -339,6 +339,45 @@ void prefix_sums_rows(const double* x, double* ps, double* ps2,
   }
 }
 
+void xcorr_valid_direct(const double* x, const double* y, std::size_t ny,
+                        double* num, std::size_t n_out) {
+  // Eight lags at a time in named accumulators (kept in registers), so
+  // eight independent add chains overlap instead of one latency-bound
+  // chain per lag.  Each lag still accumulates acc += x[n + k] * y[k] in
+  // ascending k from +0.0, so the result is bit-identical to the plain
+  // double loop the tail runs.
+  std::size_t n = 0;
+  for (; n + 8 <= n_out; n += 8) {
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    double a4 = 0.0, a5 = 0.0, a6 = 0.0, a7 = 0.0;
+    for (std::size_t k = 0; k < ny; ++k) {
+      const double yk = y[k];
+      const double* p = x + n + k;
+      a0 += p[0] * yk;
+      a1 += p[1] * yk;
+      a2 += p[2] * yk;
+      a3 += p[3] * yk;
+      a4 += p[4] * yk;
+      a5 += p[5] * yk;
+      a6 += p[6] * yk;
+      a7 += p[7] * yk;
+    }
+    num[n] = a0;
+    num[n + 1] = a1;
+    num[n + 2] = a2;
+    num[n + 3] = a3;
+    num[n + 4] = a4;
+    num[n + 5] = a5;
+    num[n + 6] = a6;
+    num[n + 7] = a7;
+  }
+  for (; n < n_out; ++n) {
+    double acc = 0.0;
+    for (std::size_t k = 0; k < ny; ++k) acc += x[n + k] * y[k];
+    num[n] = acc;
+  }
+}
+
 double sum(const double* x, std::size_t n) {
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) acc += x[i];

@@ -15,7 +15,8 @@
 //    backends produce bit-identical results.  This covers the radix-2
 //    butterfly passes, the rfft/irfft untangling epilogues, complex bin
 //    products, centered copies, window normalization, the batched
-//    row-parallel kernels and the TDEB clamp+bias+argmax epilogue.
+//    row-parallel kernels, the direct small-lag correlation numerator
+//    and the TDEB clamp+bias+argmax epilogue.
 //  * "ULP-bounded" kernels reassociate a reduction (vector partial
 //    accumulators, vectorized prefix scan).  Their divergence from the
 //    scalar backend is bounded by standard summation-error analysis:
@@ -193,6 +194,14 @@ struct Ops {
   /// bitwise equal to the scalar per-channel prefix sums.
   void (*prefix_sums_rows)(const double* x, double* ps, double* ps2,
                            std::size_t frames, std::size_t channels);
+
+  /// Valid-lag cross-correlation numerator by direct summation:
+  ///   num[n] = sum_{k < ny} x[n + k] * y[k],  n < n_out,
+  /// with x holding n_out + ny - 1 samples.  Each output accumulates in
+  /// ascending k from +0.0, so vector backends (parallel across lags,
+  /// never across k) are bit-identical to the scalar double loop.
+  void (*xcorr_valid_direct)(const double* x, const double* y,
+                             std::size_t ny, double* num, std::size_t n_out);
 
   // --- ULP-bounded kernels (reassociating reductions) ------------------
 

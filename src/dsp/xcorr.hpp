@@ -1,15 +1,20 @@
 // Sliding normalized correlation ("the sliding method", Section V-B).
 //
-// Three implementations with identical output are provided: a direct
-// O(Nx * Ny) evaluation, an rfft + prefix-sum path (the default inside
-// TDE), and a pre-rfft complex-FFT reference.  The naive and complex
-// variants serve as references for testing and as ablation targets
-// (bench_ablation_tde_speed).  The *_into entry points write into
-// caller-owned buffers and perform no heap allocation once their
-// workspace has reached steady-state size.
+// Three entry points with matching output (up to rounding) are provided:
+// a naive per-window stats::pearson evaluation, the production
+// centered-numerator + prefix-sum path (sliding_pearson_fft*, the default
+// inside TDE), and a pre-rfft complex-FFT reference.  The production
+// path takes its numerator from cross_correlate_valid_into, which picks
+// a direct O(n_out * Ny) sum for short lag ranges (every DWM window) and
+// the real-FFT round trip otherwise (dsp::direct_xcorr_wins, DESIGN.md
+// §3.2).  The naive and complex variants serve as references for testing
+// and as ablation targets (bench_ablation_tde_speed).  The *_into entry
+// points write into caller-owned buffers and perform no heap allocation
+// once their workspace has reached steady-state size.
 //
-// The fft path's centering, prefix-sum, and window-normalization passes
-// run through the runtime-dispatched SIMD kernels (dsp/simd/simd.hpp).
+// The production path's centering, prefix-sum, numerator and
+// window-normalization passes run through the runtime-dispatched SIMD
+// kernels (dsp/simd/simd.hpp).
 // Under a vector backend the prefix sums and energy reductions
 // reassociate, so scores can differ from the scalar backend by a few
 // ULPs (see DESIGN.md, "SIMD dispatch"); the degenerate-window guard is
@@ -41,14 +46,15 @@ struct SlidingPearsonWorkspace {
 [[nodiscard]] std::vector<double> sliding_pearson_naive(
     std::span<const double> x, std::span<const double> y);
 
-/// Same output as sliding_pearson_naive, computed with one real-FFT
-/// cross-correlation for the numerator and prefix sums for the windowed
-/// means/norms.  Degenerate windows (zero variance, non-finite samples)
-/// score 0, matching stats::pearson; note that a single NaN in `x`
-/// contaminates the FFT numerator, so on non-finite input this path
-/// zeroes *every* affected window while the naive path only zeroes the
-/// windows that overlap the NaN — upstream consumers (DwmSynchronizer)
-/// mask such windows out before scoring.
+/// Same output as sliding_pearson_naive, computed with one valid-lag
+/// cross-correlation for the numerator (direct or FFT by shape) and
+/// prefix sums for the windowed means/norms.  Degenerate windows (zero
+/// variance, non-finite samples) score 0, matching stats::pearson.  On
+/// non-finite input the paths differ: a NaN in `x` poisons the global
+/// mean this path centers by, so every window scores 0 (whichever
+/// numerator ran), while the naive path zeroes only the windows that
+/// overlap the NaN — upstream consumers (DwmSynchronizer) mask such
+/// windows out before scoring.
 [[nodiscard]] std::vector<double> sliding_pearson_fft(
     std::span<const double> x, std::span<const double> y);
 

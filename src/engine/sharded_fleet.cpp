@@ -139,7 +139,8 @@ void ShardedFleet::process_batches(std::size_t index, Shard& shard,
       continue;
     }
     try {
-      shard.engine->feed(b.session, b.channel, b.frames.view());
+      shard.windows +=
+          shard.engine->feed(b.session, b.channel, b.frames.view());
     } catch (const std::exception&) {
       // feed() validated at ingest; an engine-side failure here is a
       // race with eviction (frames queued before the evict command of
@@ -329,7 +330,9 @@ FeedResult ShardedFleet::feed(std::size_t session, const std::string& channel,
 
   if (options_.shards == 0) {
     const std::scoped_lock lock(shard.mu);
-    shard.engine->feed(local, channel, frames);
+    // Windows the engine's max_pending_frames backstop drains inside
+    // feed() count like those of the next poll.
+    shard.windows += shard.engine->feed(local, channel, frames);
     result.accepted_frames = frames.frames();
     return result;
   }

@@ -10,12 +10,14 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
 #include "core/dwm.hpp"
 #include "core/nsync.hpp"
+#include "dsp/fft.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
 
@@ -88,14 +90,13 @@ Signal smoothed_noise(std::size_t frames, std::size_t channels,
   return s;
 }
 
-TEST(AllocHotPath, WarmDwmWindowPushIsAllocationFree) {
-  DwmParams p;
-  p.n_win = 256;
-  p.n_hop = 128;
-  p.n_ext = 64;
-  p.n_sigma = 32.0;
-  const Signal reference = smoothed_noise(8000, 2, 1);
-  const Signal observed = smoothed_noise(4000, 2, 2);
+/// Warms a DwmSynchronizer past its first-window edge effects, then
+/// checks that each hop-sized push scores exactly one TDEB window with
+/// zero heap allocations.
+void expect_warm_dwm_push_allocation_free(const DwmParams& p,
+                                          std::uint64_t seed) {
+  const Signal reference = smoothed_noise(8000, 2, seed);
+  const Signal observed = smoothed_noise(6000, 2, seed + 1);
 
   DwmSynchronizer sync(reference, p);
   sync.reserve_windows(64);
@@ -120,6 +121,28 @@ TEST(AllocHotPath, WarmDwmWindowPushIsAllocationFree) {
     EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u)
         << "round " << round;
   }
+}
+
+TEST(AllocHotPath, WarmDwmWindowPushIsAllocationFree) {
+  // 384 x 256 windows: the direct numerator (dsp::direct_xcorr_wins).
+  DwmParams p;
+  p.n_win = 256;
+  p.n_hop = 128;
+  p.n_ext = 64;
+  p.n_sigma = 32.0;
+  ASSERT_TRUE(nsync::dsp::direct_xcorr_wins(p.n_win + 2 * p.n_ext, p.n_win));
+  expect_warm_dwm_push_allocation_free(p, 1);
+}
+
+TEST(AllocHotPath, WarmDwmWindowPushOnFftNumeratorIsAllocationFree) {
+  // 1024 x 640 windows: the batched-FFT numerator.
+  DwmParams p;
+  p.n_win = 640;
+  p.n_hop = 320;
+  p.n_ext = 192;
+  p.n_sigma = 96.0;
+  ASSERT_FALSE(nsync::dsp::direct_xcorr_wins(p.n_win + 2 * p.n_ext, p.n_win));
+  expect_warm_dwm_push_allocation_free(p, 11);
 }
 
 TEST(AllocHotPath, WarmRealtimeMonitorWindowPushIsAllocationFree) {

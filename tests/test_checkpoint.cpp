@@ -11,7 +11,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,7 +24,7 @@
 #include "core/nsync.hpp"
 #include "engine/monitor_engine.hpp"
 #include "engine/session_codec.hpp"
-#include "runtime/thread_pool.hpp"
+#include "engine/sharded_fleet.hpp"
 #include "sensors/fault_injector.hpp"
 #include "signal/checkpoint.hpp"
 #include "signal/rng.hpp"
@@ -41,9 +43,12 @@ using nsync::core::StreamingMinFilter;
 using nsync::core::SyncMethod;
 using nsync::core::Thresholds;
 using nsync::engine::ChannelSpec;
+using nsync::engine::FeedStatus;
 using nsync::engine::MonitorEngine;
 using nsync::engine::SessionSnapshot;
 using nsync::engine::SessionSpec;
+using nsync::engine::ShardedFleet;
+using nsync::engine::ShardedFleetOptions;
 using nsync::signal::ByteReader;
 using nsync::signal::ByteWriter;
 using nsync::signal::CheckpointError;
@@ -894,30 +899,67 @@ TEST_F(CheckpointFleetTest, KilledAndRestoredFleetIsBitwiseIdentical) {
   std::remove(path.c_str());
 }
 
-TEST_F(CheckpointFleetTest, RecoveryIsWorkerCountInvariant) {
-  const std::string path = temp_path("fleet-workers.nckp");
-  std::vector<std::uint8_t> first_bytes;
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
-    runtime::set_worker_count(workers);
-    const std::size_t rounds = rounds_for(113);
-    const std::size_t kill = rounds / 2;
+TEST_F(CheckpointFleetTest, RecoveryIsShardCountInvariant) {
+  // The same kill/restore/replay through ShardedFleet at every shard
+  // count (0 = the inline engine): the recovered fleet reaches the
+  // uninterrupted engine's detections, and with all sessions on one
+  // engine its full serialized state, byte for byte.
+  const std::size_t chunk = 113;
+  const std::size_t rounds = rounds_for(chunk);
+  const std::size_t kill = rounds / 2;
+  MonitorEngine baseline = make_engine();
+  feed_rounds(baseline, chunk, 0, rounds);
+
+  static const char* kNames[] = {"ACC", "AUD"};
+  const auto feed_fleet_rounds = [&](ShardedFleet& fleet, std::size_t from,
+                                     std::size_t to) {
+    for (std::size_t k = from; k < to; ++k) {
+      for (std::size_t s = 0; s < streams_.size(); ++s) {
+        for (std::size_t c = 0; c < 2; ++c) {
+          const Signal& sig = streams_[s][c];
+          const std::size_t lo = k * chunk;
+          if (lo >= sig.frames()) continue;
+          const std::size_t hi = std::min(lo + chunk, sig.frames());
+          ASSERT_EQ(fleet.feed(s, kNames[c], SignalView(sig).slice(lo, hi))
+                        .status,
+                    FeedStatus::kOk);
+        }
+      }
+      fleet.flush();
+    }
+  };
+
+  // Two sessions: at most two shards, so every shard owns a session and
+  // has written its checkpoint file by the kill.
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{2}}) {
+    const std::string label = "shards " + std::to_string(shards);
+    const std::string dir =
+        temp_path("fleet-shards-" + std::to_string(shards));
+    std::filesystem::create_directories(dir);
+    ShardedFleetOptions opts;
+    opts.shards = shards;
+    opts.checkpoint_dir = dir;
     {
-      MonitorEngine victim = make_engine();
-      feed_rounds(victim, 113, 0, kill);
-      victim.checkpoint(path);
+      ShardedFleet victim(opts);
+      victim.add_session(make_session("benign-print"));
+      victim.add_session(make_session("tampered-print"));
+      feed_fleet_rounds(victim, 0, kill);
+      // Each drain round checkpointed; the victim dies here.
     }
-    MonitorEngine revived = MonitorEngine::restore(path);
-    feed_rounds(revived, 113, kill, rounds);
-    const std::vector<std::uint8_t> bytes = revived.serialize();
-    if (first_bytes.empty()) {
-      first_bytes = bytes;
-    } else {
-      EXPECT_TRUE(bytes == first_bytes)
-          << "recovered state differs across worker counts";
+    const std::unique_ptr<ShardedFleet> revived =
+        ShardedFleet::restore(dir, opts);
+    feed_fleet_rounds(*revived, kill, rounds);
+    expect_snapshots_equal(revived->snapshots(), baseline.snapshots(), label);
+    if (shards <= 1) {
+      revived->checkpoint_all();
+      const MonitorEngine engine = MonitorEngine::restore(
+          dir + "/" + ShardedFleet::shard_checkpoint_filename(0));
+      EXPECT_TRUE(engine.serialize() == baseline.serialize())
+          << label << ": recovered state differs from the uninterrupted run";
     }
+    std::filesystem::remove_all(dir);
   }
-  runtime::set_worker_count(0);  // restore automatic sizing
-  std::remove(path.c_str());
 }
 
 TEST_F(CheckpointFleetTest, CheckpointWhileDegradedRestoresHealthCounters) {

@@ -289,6 +289,32 @@ TEST(ShardedFleet, VerdictsBitwiseInvariantAcrossShardCounts) {
   }
 }
 
+TEST(ShardedFleet, WindowCountIncludesBackstopDrains) {
+  // Feeds larger than max_pending_frames are drained inside the engine's
+  // feed(); the fleet's window counter must include those windows.
+  const Fixture fx(2);
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{2}}) {
+    ShardedFleetOptions opts;
+    opts.shards = shards;
+    opts.max_pending_frames = kChunk / 2;
+    ShardedFleet fleet(opts);
+    for (std::size_t s = 0; s < fx.sessions(); ++s) {
+      fleet.add_session(fx.spec(s));
+    }
+    replay(fx, [&](std::size_t s, const std::string& ch, const SignalView& v) {
+      ASSERT_EQ(fleet.feed(s, ch, v).status, FeedStatus::kOk);
+    });
+    fleet.flush();
+    std::size_t windows = 0;
+    for (const auto& snap : fleet.snapshots()) {
+      for (const auto& ch : snap.channels) windows += ch.windows;
+    }
+    EXPECT_GT(windows, 0u);
+    EXPECT_EQ(fleet.stats().windows, windows) << "shards=" << shards;
+  }
+}
+
 TEST(ShardedFleet, ShardMappingIsRoundRobin) {
   ShardedFleetOptions opts;
   opts.shards = 3;

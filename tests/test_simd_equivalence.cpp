@@ -2,8 +2,9 @@
 // contract (see DESIGN.md "SIMD dispatch layer").
 //
 //  * Bitwise claims: the radix-2/rfft/irfft pipeline, the cross-correlation
-//    bin product, the batched (lane-interleaved) transforms and the TDEB
-//    epilogue produce bit-identical results under every compiled-in
+//    bin product, the batched (lane-interleaved) transforms, the direct
+//    small-lag correlation numerator and the TDEB epilogue produce
+//    bit-identical results under every compiled-in
 //    backend, across a size sweep covering all three planner modes (pow2,
 //    even-Bluestein, odd-Bluestein).
 //  * ULP-bounded claims: kernels that reassociate a reduction (sum,
@@ -27,6 +28,7 @@
 #include <cstdlib>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/nsync.hpp"
@@ -198,6 +200,78 @@ TEST(SimdBitwise, CrossCorrelateValidIdenticalAcrossBackends) {
                                   << " isa=" << simd::isa_name(isa);
       }
     }
+  }
+}
+
+// Shapes straddling dsp::direct_xcorr_wins at nx = 1024 (direct, FFT,
+// FFT, direct) plus one with nx a power of two on the FFT side.
+const std::pair<std::size_t, std::size_t> kCrossoverShapes[] = {
+    {1024, 192}, {1024, 256}, {1024, 768}, {1024, 832}, {1000, 500}};
+
+TEST(SimdBitwise, CrossCorrelateValidIdenticalAcrossBackendsBothBranches) {
+  BackendGuard guard;
+  const auto backends = available_backends();
+  ASSERT_TRUE(nsync::dsp::direct_xcorr_wins(1024, 192));
+  ASSERT_FALSE(nsync::dsp::direct_xcorr_wins(1024, 256));
+  ASSERT_FALSE(nsync::dsp::direct_xcorr_wins(1024, 768));
+  ASSERT_TRUE(nsync::dsp::direct_xcorr_wins(1024, 832));
+  for (const auto& [nx, ny] : kCrossoverShapes) {
+    const std::vector<double> x = random_vector(nx, 0xE0 + nx + ny);
+    const std::vector<double> y = random_vector(ny, 0xF0 + nx + ny);
+    ASSERT_TRUE(simd::set_backend(simd::Isa::kScalar));
+    const std::vector<double> ref = nsync::dsp::cross_correlate_valid(x, y);
+    for (const simd::Isa isa : backends) {
+      ASSERT_TRUE(simd::set_backend(isa));
+      const std::vector<double> got = nsync::dsp::cross_correlate_valid(x, y);
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(got[i], ref[i]) << "nx=" << nx << " ny=" << ny << " i=" << i
+                                  << " isa=" << simd::isa_name(isa);
+      }
+    }
+  }
+}
+
+// The direct numerator kernel against the plain double loop it is
+// defined by, bitwise, under every backend.  x and num are allocated at
+// exactly their logical sizes, so a vector tail that reads or writes
+// past either end is an ASan error.
+void expect_direct_kernel_bitwise(std::size_t nx, std::size_t ny,
+                                  const std::vector<simd::Isa>& backends) {
+  const std::size_t n_out = nx - ny + 1;
+  const std::vector<double> x = random_vector(nx, 0x1000 + 7 * nx + ny);
+  const std::vector<double> y = random_vector(ny, 0x2000 + 7 * nx + ny);
+  std::vector<double> ref(n_out);
+  for (std::size_t n = 0; n < n_out; ++n) {
+    double acc = 0.0;
+    for (std::size_t k = 0; k < ny; ++k) acc += x[n + k] * y[k];
+    ref[n] = acc;
+  }
+  for (const simd::Isa isa : backends) {
+    ASSERT_TRUE(simd::set_backend(isa));
+    std::vector<double> got(n_out);
+    simd::ops().xcorr_valid_direct(x.data(), y.data(), ny, got.data(), n_out);
+    for (std::size_t n = 0; n < n_out; ++n) {
+      ASSERT_EQ(got[n], ref[n]) << "nx=" << nx << " ny=" << ny << " n=" << n
+                                << " isa=" << simd::isa_name(isa);
+    }
+  }
+}
+
+TEST(SimdBitwise, XcorrValidDirectKernelMatchesPlainLoop) {
+  BackendGuard guard;
+  const auto backends = available_backends();
+  // n_out = 1 (ny == nx), ny = 2, nx a power of two (no slack past x),
+  // and the fleet's DWM window (49 lags = one 32-lag block + 17).
+  for (const auto& [nx, ny] :
+       {std::pair<std::size_t, std::size_t>{64, 64}, {2, 2}, {97, 97},
+        {2, 1}, {33, 2}, {256, 2}, {128, 16}, {1024, 64}, {112, 64}}) {
+    expect_direct_kernel_bitwise(nx, ny, backends);
+  }
+  // Every lag count through two register blocks: full blocks, every
+  // narrower remainder block and every masked-lane count.
+  for (std::size_t n_out = 1; n_out <= 70; ++n_out) {
+    expect_direct_kernel_bitwise(n_out + 4, 5, backends);
   }
 }
 
@@ -434,12 +508,15 @@ TEST(SimdBatched, MultichannelTdeMatchesSequentialScalarBitwise) {
 TEST(SimdBatched, MultichannelTdeMatchesPerChannelLoopAtPaddingEdges) {
   // The batched path and sliding_pearson_fft_into must agree on the
   // valid-lag transform size at its edges: nx a power of two, nx + ny
-  // crossing one, ny == nx, ny == 2.  Same scalar-backend bitwise claim
-  // as above.
+  // crossing one, ny == nx, ny == 2 — and on the numerator rule
+  // (dsp::direct_xcorr_wins) on both sides of its crossover.  Same
+  // scalar-backend bitwise claim as above.
   BackendGuard guard;
   ASSERT_TRUE(simd::set_backend(simd::Isa::kScalar));
   const std::pair<std::size_t, std::size_t> shapes[] = {
-      {128, 16}, {120, 16}, {100, 60}, {64, 64}, {97, 97}, {256, 2}};
+      {128, 16},   {120, 16},   {100, 60},   {64, 64},
+      {97, 97},    {256, 2},    {112, 64},   {1024, 192},
+      {1024, 256}, {1024, 768}, {1024, 832}, {1000, 500}};
   for (const std::size_t C : {2, 3}) {
     for (const auto& [nx, ny] : shapes) {
       Rng rng(900 + nx + ny + C);

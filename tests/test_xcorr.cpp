@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -140,6 +141,63 @@ TEST(XcorrEquivalence, ValidLagPaddingMatchesFullPaddingOracle) {
           << "nx " << nx << " ny " << ny << " lag " << n;
     }
   }
+}
+
+TEST(XcorrEquivalence, BothSidesOfDirectCrossoverMatchComplexOracle) {
+  // cross_correlate_valid picks the direct sum or the FFT by shape
+  // (direct_xcorr_wins).  Either way each lag must sit within the
+  // standard summation bound 2 * m * eps * sum|x[n+k] * y[k]| of the
+  // full-padding complex oracle, m being the oracle's transform length
+  // (the most terms any output of either path accumulates).
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {112, 64},    // the fleet's DWM window: direct
+      {1024, 192},  // just below the crossover: direct
+      {1024, 256},  // just above: FFT
+      {1024, 768},  // FFT, long template
+      {1024, 832},  // few lags again: direct
+      {1000, 500},  // FFT, nx not a power of two
+  };
+  EXPECT_TRUE(direct_xcorr_wins(112, 64));
+  EXPECT_TRUE(direct_xcorr_wins(1024, 192));
+  EXPECT_FALSE(direct_xcorr_wins(1024, 256));
+  EXPECT_FALSE(direct_xcorr_wins(1024, 768));
+  EXPECT_TRUE(direct_xcorr_wins(1024, 832));
+  EXPECT_FALSE(direct_xcorr_wins(1000, 500));
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  for (const auto& [nx, ny] : shapes) {
+    const auto x = random_series(nx, 701 + nx + ny);
+    const auto y = random_series(ny, 702 + nx + ny);
+    const auto got = cross_correlate_valid(x, y);
+    const auto ref = cross_correlate_valid_complex(x, y);
+    const auto m = static_cast<double>(next_power_of_two(nx + ny));
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t n = 0; n < ref.size(); ++n) {
+      double abs_terms = 0.0;
+      for (std::size_t k = 0; k < ny; ++k) {
+        abs_terms += std::abs(x[n + k] * y[k]);
+      }
+      EXPECT_LE(std::abs(got[n] - ref[n]), 2.0 * m * kEps * abs_terms)
+          << "nx " << nx << " ny " << ny << " lag " << n;
+    }
+  }
+}
+
+TEST(CrossCorrelateValid, DirectPathKeepsNonFiniteSamplesLocal) {
+  // On the direct path a NaN reaches only the lags whose window covers
+  // it; the FFT path would spread it to every lag.
+  const std::size_t nx = 112, ny = 64, bad = 100;
+  ASSERT_TRUE(direct_xcorr_wins(nx, ny));
+  auto x = random_series(nx, 801);
+  const auto y = random_series(ny, 802);
+  x[bad] = std::numeric_limits<double>::quiet_NaN();
+  const auto got = cross_correlate_valid(x, y);
+  for (std::size_t n = 0; n < got.size(); ++n) {
+    const bool covers = n <= bad && bad < n + ny;
+    EXPECT_EQ(std::isnan(got[n]), covers) << "lag " << n;
+  }
+  // The Pearson score built on it centers by the global mean, which the
+  // NaN poisons, so every window scores 0 there.
+  for (const double s : sliding_pearson_fft(x, y)) EXPECT_EQ(s, 0.0);
 }
 
 TEST(XcorrEquivalence, RfftPathMatchesComplexPath) {
