@@ -29,6 +29,7 @@
 #include "eval/table.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
+#include "testing/dsp_oracles.hpp"
 
 using namespace nsync;
 using namespace nsync::eval;

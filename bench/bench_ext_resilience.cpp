@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "core/nsync.hpp"
-#include "engine/chaos_proxy.hpp"
 #include "engine/fleet_server.hpp"
 #include "engine/resilient_client.hpp"
 #include "engine/sharded_fleet.hpp"
@@ -46,6 +45,7 @@
 #include "runtime/thread_pool.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
+#include "testing/chaos_proxy.hpp"
 
 using namespace nsync;
 using nsync::signal::Rng;

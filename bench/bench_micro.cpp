@@ -46,6 +46,7 @@
 #include "signal/checkpoint.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
+#include "testing/dsp_oracles.hpp"
 
 using namespace nsync;
 

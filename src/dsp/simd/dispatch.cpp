@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "dsp/simd/kernels.hpp"
 
@@ -31,9 +32,6 @@ const Ops kScalarOps{Isa::kScalar, "scalar", NSYNC_SIMD_OPS_ENTRIES(scalar)};
 #if defined(NSYNC_SIMD_HAVE_AVX2)
 const Ops kAvx2Ops{Isa::kAvx2, "avx2", NSYNC_SIMD_OPS_ENTRIES(avx2)};
 #endif
-#if defined(NSYNC_SIMD_HAVE_NEON)
-const Ops kNeonOps{Isa::kNeon, "neon", NSYNC_SIMD_OPS_ENTRIES(neon)};
-#endif
 
 #undef NSYNC_SIMD_OPS_ENTRIES
 
@@ -43,28 +41,25 @@ const Ops* table_for(Isa isa) {
     case Isa::kAvx2:
       return &kAvx2Ops;
 #endif
-#if defined(NSYNC_SIMD_HAVE_NEON)
-    case Isa::kNeon:
-      return &kNeonOps;
-#endif
     default:
       return &kScalarOps;
   }
 }
 
-Isa parse_isa_name(const char* s) {
+std::optional<Isa> parse_isa_name(const char* s) {
+  if (std::strcmp(s, "scalar") == 0) return Isa::kScalar;
   if (std::strcmp(s, "avx2") == 0) return Isa::kAvx2;
-  if (std::strcmp(s, "neon") == 0) return Isa::kNeon;
-  return Isa::kScalar;
+  return std::nullopt;
 }
 
+// A value that names no backend, or one this host cannot run, is
+// ignored: the best supported backend stays selected.
 Isa initial_isa() {
-  Isa isa = best_supported_isa();
   if (const char* env = std::getenv("NSYNC_SIMD")) {
-    const Isa wanted = parse_isa_name(env);
-    if (backend_available(wanted)) isa = wanted;
+    const std::optional<Isa> wanted = parse_isa_name(env);
+    if (wanted && backend_available(*wanted)) return *wanted;
   }
-  return isa;
+  return best_supported_isa();
 }
 
 std::atomic<const Ops*>& active_slot() {
@@ -84,11 +79,6 @@ Isa best_supported_isa() {
 #if defined(NSYNC_SIMD_HAVE_AVX2)
   if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
 #endif
-#if defined(NSYNC_SIMD_HAVE_NEON)
-  // NEON is baseline on aarch64; the backend is only compiled in when the
-  // target guarantees it.
-  return Isa::kNeon;
-#endif
   return Isa::kScalar;
 }
 
@@ -99,10 +89,6 @@ bool backend_available(Isa isa) {
 #if defined(NSYNC_SIMD_HAVE_AVX2)
     case Isa::kAvx2:
       return __builtin_cpu_supports("avx2");
-#endif
-#if defined(NSYNC_SIMD_HAVE_NEON)
-    case Isa::kNeon:
-      return true;
 #endif
     default:
       return false;
@@ -116,7 +102,7 @@ bool set_backend(Isa isa) {
 }
 
 bool built_with_simd() {
-#if defined(NSYNC_SIMD_HAVE_AVX2) || defined(NSYNC_SIMD_HAVE_NEON)
+#if defined(NSYNC_SIMD_HAVE_AVX2)
   return true;
 #else
   return false;

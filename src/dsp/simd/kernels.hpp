@@ -9,8 +9,8 @@
 // simd.hpp (bitwise for lane-parallel kernels, bounded-ULP for
 // reassociating reductions).
 //
-// The signature list is kept in one macro so the three backends cannot
-// drift apart.
+// The signature list is kept in one macro so the backends cannot drift
+// apart.
 #ifndef NSYNC_DSP_SIMD_KERNELS_HPP
 #define NSYNC_DSP_SIMD_KERNELS_HPP
 
@@ -98,12 +98,6 @@ NSYNC_SIMD_DECLARE_KERNELS
 namespace avx2 {
 NSYNC_SIMD_DECLARE_KERNELS
 }  // namespace avx2
-#endif
-
-#if defined(NSYNC_SIMD_HAVE_NEON)
-namespace neon {
-NSYNC_SIMD_DECLARE_KERNELS
-}  // namespace neon
 #endif
 
 }  // namespace nsync::dsp::simd

@@ -3,8 +3,8 @@
 // Every arithmetic-dense inner loop of the rfft → cross-correlation →
 // sliding-Pearson → TDEB chain is routed through a table of function
 // pointers (`Ops`) resolved once at startup: an AVX2 backend on x86-64,
-// a NEON backend on aarch64, and a portable scalar backend that is always
-// built and is the reference implementation for both.
+// and a portable scalar backend that is always built, is the reference
+// implementation for AVX2, and is what every other architecture runs.
 //
 // Equivalence contract (pinned by tests/test_simd_equivalence.cpp, see
 // DESIGN.md "SIMD dispatch layer" for the per-kernel table):
@@ -25,7 +25,7 @@
 //
 // Backend selection: the best compiled-in backend the host supports,
 // overridable with the NSYNC_SIMD environment variable
-// ("scalar"/"avx2"/"neon"; ignored when unavailable) or at runtime with
+// ("scalar"/"avx2"; ignored when unknown or unavailable) or at runtime with
 // set_backend() (tests, ablations).  All selection state is atomic; the
 // kernels themselves are stateless and thread-safe.
 #ifndef NSYNC_DSP_SIMD_SIMD_HPP
@@ -53,7 +53,7 @@ namespace nsync::dsp::simd {
 
 using Complex = std::complex<double>;
 
-enum class Isa { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+enum class Isa { kScalar = 0, kAvx2 = 1 };
 
 /// Kernel table for one backend.  All pointers are always valid.
 struct Ops {
@@ -233,7 +233,7 @@ const Ops& ops();
 /// ISA of the active backend.
 Isa active_isa();
 
-/// Human-readable name ("scalar", "avx2", "neon").
+/// Human-readable name ("scalar", "avx2").
 const char* isa_name(Isa isa);
 
 /// Best backend compiled into this binary that the host can execute —

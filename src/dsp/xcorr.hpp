@@ -1,16 +1,18 @@
 // Sliding normalized correlation ("the sliding method", Section V-B).
 //
-// Three entry points with matching output (up to rounding) are provided:
-// a naive per-window stats::pearson evaluation, the production
-// centered-numerator + prefix-sum path (sliding_pearson_fft*, the default
-// inside TDE), and a pre-rfft complex-FFT reference.  The production
-// path takes its numerator from cross_correlate_valid_into, which picks
-// a direct O(n_out * Ny) sum for short lag ranges (every DWM window) and
-// the real-FFT round trip otherwise (dsp::direct_xcorr_wins, DESIGN.md
-// §3.2).  The naive and complex variants serve as references for testing
-// and as ablation targets (bench_ablation_tde_speed).  The *_into entry
-// points write into caller-owned buffers and perform no heap allocation
-// once their workspace has reached steady-state size.
+// Two entry points with matching output (up to rounding) are provided:
+// the production centered-numerator + prefix-sum path
+// (sliding_pearson_fft*, the default inside TDE) and a naive per-window
+// stats::pearson evaluation (sliding_pearson_naive_into, selected by
+// TdeOptions::use_fft = false).  The production path takes its numerator
+// from cross_correlate_valid_into, which picks a direct O(n_out * Ny) sum
+// for short lag ranges (every DWM window) and the real-FFT round trip
+// otherwise (dsp::direct_xcorr_wins, DESIGN.md §3.2).  Reference
+// implementations for tests and ablations (an allocating naive wrapper
+// and a pre-rfft complex-FFT variant) live in the test-only nsync_testing
+// library (testing/dsp_oracles.hpp).  The *_into entry points write into
+// caller-owned buffers and perform no heap allocation once their
+// workspace has reached steady-state size.
 //
 // The production path's centering, prefix-sum, numerator and
 // window-normalization passes run through the runtime-dispatched SIMD
@@ -41,14 +43,10 @@ struct SlidingPearsonWorkspace {
   CorrelationWorkspace corr;
 };
 
-/// s[n] = pearson(x[n : n+Ny], y) for n = 0 .. Nx-Ny  (Eq. 1 with Eq. 3).
-/// Direct evaluation.  Requires x.size() >= y.size() >= 2.
-[[nodiscard]] std::vector<double> sliding_pearson_naive(
-    std::span<const double> x, std::span<const double> y);
-
-/// Same output as sliding_pearson_naive, computed with one valid-lag
-/// cross-correlation for the numerator (direct or FFT by shape) and
-/// prefix sums for the windowed means/norms.  Degenerate windows (zero
+/// s[n] = pearson(x[n : n+Ny], y) for n = 0 .. Nx-Ny  (Eq. 1 with Eq. 3),
+/// computed with one valid-lag cross-correlation for the numerator
+/// (direct or FFT by shape) and prefix sums for the windowed means/norms.
+/// Requires x.size() >= y.size() >= 2.  Degenerate windows (zero
 /// variance, non-finite samples) score 0, matching stats::pearson.  On
 /// non-finite input the paths differ: a NaN in `x` poisons the global
 /// mean this path centers by, so every window scores 0 (whichever
@@ -67,17 +65,12 @@ void sliding_pearson_fft_into(std::span<const double> x,
                               std::span<double> out,
                               SlidingPearsonWorkspace& ws);
 
-/// Allocation-free variant of sliding_pearson_naive writing into `out`
-/// (same size contract as sliding_pearson_fft_into).
+/// Same scores by direct evaluation: one stats::pearson per window,
+/// written into `out` (same size contract as sliding_pearson_fft_into).
+/// Allocation-free.
 void sliding_pearson_naive_into(std::span<const double> x,
                                 std::span<const double> y,
                                 std::span<double> out);
-
-/// Pre-rfft reference: the numerator comes from the full-size complex-FFT
-/// cross-correlation.  Kept for the rfft equivalence tests and the
-/// bench_ablation_tde_speed ablation.
-[[nodiscard]] std::vector<double> sliding_pearson_fft_complex(
-    std::span<const double> x, std::span<const double> y);
 
 }  // namespace nsync::dsp
 

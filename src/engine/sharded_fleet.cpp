@@ -86,6 +86,10 @@ ShardedFleet::ShardedFleet(ShardedFleetOptions options)
     shard->engine = std::make_unique<MonitorEngine>(engine_options(i));
     shards_.push_back(std::move(shard));
   }
+  // Every shard file exists from the start, so a shard that never owns a
+  // session still restores, and files a previous fleet left in the
+  // directory are replaced rather than restored.
+  if (!options_.checkpoint_dir.empty()) checkpoint_all();
   start_workers();
 }
 

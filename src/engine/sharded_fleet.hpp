@@ -31,11 +31,11 @@
 // degrades by policy, never by unbounded memory growth.
 //
 // Crash safety: with a checkpoint_dir, each shard writes its own sessions
-// to `<dir>/fleet.<shard>.nckp` (the atomic NCKP container) once after
-// every drain round, and add_session() checkpoints the target shard
-// synchronously so admission is durable.  restore() reloads all N files
-// and replays bitwise-identical verdicts once the feeder resumes each
-// channel at its recorded frames_fed offset.
+// to `<dir>/fleet.<shard>.nckp` (the atomic NCKP container) once at
+// construction and once after every drain round, and add_session()
+// checkpoints the target shard synchronously so admission is durable.
+// restore() reloads all N files and replays bitwise-identical verdicts
+// once the feeder resumes each channel at its recorded frames_fed offset.
 #ifndef NSYNC_ENGINE_SHARDED_FLEET_HPP
 #define NSYNC_ENGINE_SHARDED_FLEET_HPP
 
@@ -107,8 +107,9 @@ struct ShardStats {
   std::uint64_t restarts = 0;     ///< restart-from-checkpoint recoveries
   std::uint64_t discarded_frames = 0;  ///< backlog dropped at failure
   std::string failure_reason;     ///< what() of the escaped exception
-  /// Writes of this shard's `fleet.<i>.nckp`: one per drain round, one per
-  /// admission, one per inline-mode eviction and one per checkpoint_all().
+  /// Writes of this shard's `fleet.<i>.nckp`: one at construction, one per
+  /// drain round, one per admission, one per inline-mode eviction and one
+  /// per checkpoint_all().
   /// Restarts from a checkpoint do not reset it.
   std::uint64_t checkpoints_written = 0;
   std::uint64_t latency_samples = 0;
@@ -142,10 +143,11 @@ struct ShardedFleetOptions {
   /// Forwarded to each shard engine (inline-drain backstop).
   std::size_t max_pending_frames = 65536;
   /// When non-empty, shard i writes `<checkpoint_dir>/fleet.<i>.nckp`
-  /// once after every drain round (a worker's batch round, or flush() in
-  /// inline mode), so an eviction is durable by the end of its round.
-  /// Admission, inline-mode eviction and checkpoint_all() write
-  /// synchronously.  The directory must already exist.
+  /// when the fleet is constructed and once after every drain round (a
+  /// worker's batch round, or flush() in inline mode), so an eviction is
+  /// durable by the end of its round.  Admission, inline-mode eviction
+  /// and checkpoint_all() write synchronously.  The directory must
+  /// already exist.
   std::string checkpoint_dir;
   /// Per-device baseline adaptation, forwarded to every shard engine.
   /// Each shard owns a private registry (sessions never migrate, so a

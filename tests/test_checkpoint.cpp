@@ -929,10 +929,10 @@ TEST_F(CheckpointFleetTest, RecoveryIsShardCountInvariant) {
     }
   };
 
-  // Two sessions: at most two shards, so every shard owns a session and
-  // has written its checkpoint file by the kill.
+  // Two sessions: at four shards, two shards own no session and must
+  // still leave a restorable checkpoint file.
   for (const std::size_t shards : {std::size_t{0}, std::size_t{1},
-                                   std::size_t{2}}) {
+                                   std::size_t{2}, std::size_t{4}}) {
     const std::string label = "shards " + std::to_string(shards);
     const std::string dir =
         temp_path("fleet-shards-" + std::to_string(shards));

@@ -22,6 +22,7 @@
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
 #include "signal/stats.hpp"
+#include "testing/dsp_oracles.hpp"
 
 namespace nsync {
 namespace {

@@ -12,6 +12,7 @@
 #include "dsp/fft.hpp"
 #include "runtime/thread_pool.hpp"
 #include "signal/rng.hpp"
+#include "testing/dsp_oracles.hpp"
 
 namespace nsync::dsp {
 namespace {

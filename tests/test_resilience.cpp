@@ -23,7 +23,6 @@
 
 #include "core/fusion.hpp"
 #include "core/nsync.hpp"
-#include "engine/chaos_proxy.hpp"
 #include "engine/fleet_server.hpp"
 #include "engine/frame_queue.hpp"
 #include "engine/monitor_engine.hpp"
@@ -33,6 +32,7 @@
 #include "engine/wire_protocol.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
+#include "testing/chaos_proxy.hpp"
 
 using namespace nsync;
 using namespace nsync::engine;

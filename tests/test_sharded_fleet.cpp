@@ -629,9 +629,9 @@ TEST(ShardedFleet, EvictionSurvivesRestore) {
 }
 
 TEST(ShardedFleet, CheckpointsOncePerDrainRound) {
-  // The fleet owns the checkpoint cadence: one write per drain round (a
-  // worker batch round, or flush() in inline mode), plus one per
-  // admission and per inline-mode eviction.  ShardStats counts exactly
+  // The fleet owns the checkpoint cadence: one write at construction, one
+  // per drain round (a worker batch round, or flush() in inline mode),
+  // plus one per admission and per inline-mode eviction.  ShardStats counts exactly
   // these writes, and the file on disk always restores to the live state.
   const Fixture fx(2, /*attack_session=*/99);
   const auto shard0 = [](const ShardedFleet& f) {
@@ -671,17 +671,18 @@ TEST(ShardedFleet, CheckpointsOncePerDrainRound) {
     for (std::size_t s = 0; s < fx.sessions(); ++s) {
       fleet.add_session(fx.spec(s));
     }
-    EXPECT_EQ(shard0(fleet).checkpoints_written, 2u);  // one per admission
+    // One at construction, one per admission.
+    EXPECT_EQ(shard0(fleet).checkpoints_written, 3u);
     for (std::size_t round = 0; round < 3; ++round) {
       for (std::size_t s = 0; s < fx.sessions(); ++s) {
         feed_chunk(fleet, s, round);
       }
       fleet.flush();
-      EXPECT_EQ(shard0(fleet).checkpoints_written, 3u + round);
+      EXPECT_EQ(shard0(fleet).checkpoints_written, 4u + round);
       expect_file_matches(fleet, dir.str(), opts);
     }
     fleet.evict_session(0);  // inline eviction writes synchronously
-    EXPECT_EQ(shard0(fleet).checkpoints_written, 6u);
+    EXPECT_EQ(shard0(fleet).checkpoints_written, 7u);
     expect_file_matches(fleet, dir.str(), opts);
   }
 
@@ -710,7 +711,7 @@ TEST(ShardedFleet, CheckpointsOncePerDrainRound) {
       fleet.add_session(fx.spec(s));
     }
     const engine::ShardStats before = shard0(fleet);
-    EXPECT_EQ(before.checkpoints_written, 2u);
+    EXPECT_EQ(before.checkpoints_written, 3u);
 
     park_next = true;
     feed_chunk(fleet, 0, 0);  // round A: the worker parks inside it

@@ -11,6 +11,7 @@
 #include "dsp/fft.hpp"
 #include "dsp/xcorr.hpp"
 #include "signal/rng.hpp"
+#include "testing/dsp_oracles.hpp"
 
 namespace nsync::dsp {
 namespace {
