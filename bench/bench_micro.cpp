@@ -34,6 +34,7 @@
 
 #include "core/dtw.hpp"
 #include "core/dwm.hpp"
+#include "core/reference.hpp"
 #include "core/tde.hpp"
 #include "dsp/batched_fft.hpp"
 #include "dsp/fft.hpp"
@@ -415,19 +416,21 @@ void BM_TdebEpilogue(benchmark::State& state) {
 SPREAD_BENCHMARK(BM_TdebEpilogue)->Arg(801)->Arg(4096)->Arg(16384);
 
 void BM_DwmWindowStep(benchmark::State& state) {
-  // One TDEB evaluation on a workspace (the DWM's per-window call):
-  // an nx-frame extended reference slice, an ny-frame observed window,
-  // Gaussian bias centred at n_ext with sigma n_ext / 2.
+  // The DWM's per-window TDEB call: the observed side (an ny-frame
+  // window) against an nx-frame extended slice of an interned reference
+  // whose reference side (centered channels, windowed inverse std) is
+  // precomputed, Gaussian bias centred at n_ext with sigma n_ext / 2.
   const auto nx = static_cast<std::size_t>(state.range(0));
   const auto ny = static_cast<std::size_t>(state.range(1));
   const auto channels = static_cast<std::size_t>(state.range(2));
   const auto n_ext = static_cast<double>(state.range(3));
-  const auto b = random_signal(nx, channels, 3);
+  const auto ref = core::ReferenceState::intern(random_signal(nx, channels, 3),
+                                                ny);
   const auto a = random_signal(ny, channels, 4);
   core::TdeWorkspace ws;
   for (auto _ : state) {
-    auto j = core::estimate_delay_biased(b, signal::SignalView(a), n_ext,
-                                         0.5 * n_ext, core::TdeOptions{}, ws);
+    auto j = core::estimate_delay_biased(*ref, 0, nx, signal::SignalView(a),
+                                         n_ext, 0.5 * n_ext, ws);
     benchmark::DoNotOptimize(j);
   }
   state.SetItemsProcessed(state.iterations());
@@ -438,6 +441,33 @@ SPREAD_BENCHMARK(BM_DwmWindowStep)
     ->ArgNames({"nx", "ny", "ch", "n_ext"})
     ->Args({4096, 1600, 6, 800})
     ->Args({112, 64, 2, 24});
+
+void BM_ReferenceStateBuild(benchmark::State& state) {
+  // Admitting a reference nobody else holds: copy, content hash, CRC-32
+  // fingerprint and the precomputed TDEB reference side, freed again at
+  // the end of the iteration.  Counter time_per_frame (seconds) is the
+  // headline.
+  const auto frames = static_cast<std::size_t>(state.range(0));
+  const auto channels = static_cast<std::size_t>(state.range(1));
+  const auto n_win = static_cast<std::size_t>(state.range(2));
+  const auto reference = random_signal(frames, channels, 5);
+  for (auto _ : state) {
+    auto ref = core::ReferenceState::intern(reference, n_win);
+    benchmark::DoNotOptimize(ref);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(frames));
+  state.counters["time_per_frame"] = benchmark::Counter(
+      static_cast<double>(frames) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+// The fleet saturate reference (4096 frames, two channels, n_win 64), a
+// longer one, and a spectrogram-wide one (256 channels).
+SPREAD_BENCHMARK(BM_ReferenceStateBuild)
+    ->ArgNames({"frames", "ch", "n_win"})
+    ->Args({4096, 2, 64})
+    ->Args({65536, 2, 1600})
+    ->Args({512, 256, 16});
 
 void BM_DwmWindow(benchmark::State& state) {
   // Steady-state cost of one streaming DWM window: a warmed synchronizer

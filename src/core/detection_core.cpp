@@ -114,35 +114,54 @@ void DetectionCore::set_thresholds(const Thresholds& t) {
   armed_ = true;
 }
 
-bool DetectionCore::step(double h_disp, bool sync_valid,
-                         const SignalView& a_win, const SignalView& b) {
-  if (a_win.frames() != dwm_.n_win) {
-    throw std::invalid_argument("DetectionCore::step: a_win must span n_win");
-  }
+std::size_t DetectionCore::matched_start(double h_disp,
+                                         std::size_t b_frames) const {
   const std::size_t a_start = windows() * dwm_.n_hop;
   auto b_start = static_cast<std::ptrdiff_t>(a_start) +
                  static_cast<std::ptrdiff_t>(std::llround(h_disp));
   // Clamp the matched window fully inside the reference (Eq. 16).
   b_start = std::clamp<std::ptrdiff_t>(
       b_start, 0,
-      static_cast<std::ptrdiff_t>(b.frames()) -
+      static_cast<std::ptrdiff_t>(b_frames) -
           static_cast<std::ptrdiff_t>(dwm_.n_win));
   if (b_start < 0) {
     throw std::invalid_argument(
         "DetectionCore::step: reference shorter than one window");
   }
-  const SignalView b_win =
-      b.slice(static_cast<std::size_t>(b_start),
-              static_cast<std::size_t>(b_start) + dwm_.n_win);
+  return static_cast<std::size_t>(b_start);
+}
 
+bool DetectionCore::step(double h_disp, bool sync_valid,
+                         const SignalView& a_win, const SignalView& b) {
+  if (a_win.frames() != dwm_.n_win) {
+    throw std::invalid_argument("DetectionCore::step: a_win must span n_win");
+  }
+  const std::size_t b_start = matched_start(h_disp, b.frames());
+  const SignalView b_win = b.slice(b_start, b_start + dwm_.n_win);
+  return score_matched(h_disp, sync_valid, a_win, b_win,
+                       nsync::signal::degenerate_window(b_win));
+}
+
+bool DetectionCore::step(double h_disp, bool sync_valid,
+                         const SignalView& a_win, const ReferenceState& b) {
+  if (a_win.frames() != dwm_.n_win) {
+    throw std::invalid_argument("DetectionCore::step: a_win must span n_win");
+  }
+  const std::size_t b_start = matched_start(h_disp, b.frames());
+  return score_matched(
+      h_disp, sync_valid, a_win,
+      SignalView(b.signal()).slice(b_start, b_start + dwm_.n_win),
+      b.degenerate(b_start, b_start + dwm_.n_win));
+}
+
+bool DetectionCore::score_matched(double h_disp, bool sync_valid,
+                                  const SignalView& a_win,
+                                  const SignalView& b_win, bool b_degenerate) {
   // The matched windows can be degenerate (flat / non-finite frames) even
   // when the synchronizer's extended search window was not; re-check both
   // before trusting the distance.
-  bool ok = sync_valid;
-  if (ok) {
-    ok = !nsync::signal::degenerate_window(a_win) &&
-         !nsync::signal::degenerate_window(b_win);
-  }
+  bool ok = sync_valid && !nsync::signal::degenerate_window(a_win) &&
+            !b_degenerate;
   double v = v_prev_;
   if (ok) {
     v = window_distance(a_win, b_win, metric_, dist_ws_);

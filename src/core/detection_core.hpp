@@ -36,6 +36,7 @@
 #include "core/discriminator.hpp"
 #include "core/distance.hpp"
 #include "core/dwm.hpp"
+#include "core/reference.hpp"
 #include "signal/signal.hpp"
 
 namespace nsync::signal {
@@ -111,6 +112,11 @@ class DetectionCore {
   bool step(double h_disp, bool sync_valid,
             const nsync::signal::SignalView& a_win,
             const nsync::signal::SignalView& b);
+  /// Same, against an interned reference: the matched window's
+  /// degeneracy check is an O(1) lookup (ReferenceState::degenerate)
+  /// instead of a scan; the result is identical.
+  bool step(double h_disp, bool sync_valid,
+            const nsync::signal::SignalView& a_win, const ReferenceState& b);
 
   /// Pre-scored variant: consumes a window whose vertical distance was
   /// already computed (or synthesized — unit tests, non-DWM feeds).
@@ -149,6 +155,15 @@ class DetectionCore {
   void restore_state(nsync::signal::ByteReader& r);
 
  private:
+  /// Start frame of the matched reference window (Eq. 16), clamped fully
+  /// inside a reference of `b_frames` frames.
+  [[nodiscard]] std::size_t matched_start(double h_disp,
+                                          std::size_t b_frames) const;
+  /// Stages 1-6 once the matched window b_win and its degeneracy are known.
+  bool score_matched(double h_disp, bool sync_valid,
+                     const nsync::signal::SignalView& a_win,
+                     const nsync::signal::SignalView& b_win,
+                     bool b_degenerate);
   bool apply_window(double h_disp, double v_dist, bool ok);
 
   DwmParams dwm_;

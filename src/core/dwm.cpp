@@ -48,18 +48,27 @@ void DwmParams::validate() const {
 }
 
 DwmSynchronizer::DwmSynchronizer(Signal reference, DwmParams params)
-    : reference_(std::move(reference)),
-      observed_(reference_.channels(), reference_.sample_rate()),
+    : DwmSynchronizer(ReferenceState::intern(std::move(reference), params.n_win),
+                      params) {}
+
+DwmSynchronizer::DwmSynchronizer(std::shared_ptr<const ReferenceState> reference,
+                                 DwmParams params)
+    : ref_(std::move(reference)),
+      observed_(ref_->channels(), ref_->signal().sample_rate()),
       params_(params) {
   params_.validate();
-  if (reference_.frames() < params_.n_win + 1) {
+  if (ref_->n_win() != params_.n_win) {
+    throw std::invalid_argument(
+        "DwmSynchronizer: reference state built for another n_win");
+  }
+  if (ref_->frames() < params_.n_win + 1) {
     throw std::invalid_argument(
         "DwmSynchronizer: reference shorter than one window");
   }
 }
 
 std::size_t DwmSynchronizer::push(const SignalView& frames) {
-  if (frames.channels() != reference_.channels()) {
+  if (frames.channels() != ref_->channels()) {
     throw std::invalid_argument("DwmSynchronizer::push: channel mismatch");
   }
   // Frames before the next unprocessed window can never be read again —
@@ -102,12 +111,12 @@ bool DwmSynchronizer::process_next_window() {
   const std::ptrdiff_t want_end = static_cast<std::ptrdiff_t>(a_end) +
                                   static_cast<std::ptrdiff_t>(params_.n_ext) +
                                   low_prev;
-  if (want_start >= static_cast<std::ptrdiff_t>(reference_.frames())) {
+  if (want_start >= static_cast<std::ptrdiff_t>(ref_->frames())) {
     reference_exhausted_ = true;
     return false;
   }
-  const SignalView b_ext = SignalView(reference_).clamped_slice(want_start,
-                                                                want_end);
+  const SignalView b_ext =
+      SignalView(ref_->signal()).clamped_slice(want_start, want_end);
   if (b_ext.frames() < params_.n_win + 1) {
     // Not enough reference left to search in: the observed process has
     // outlived the reference (itself a strong intrusion indicator, surfaced
@@ -117,7 +126,8 @@ bool DwmSynchronizer::process_next_window() {
   }
   const std::ptrdiff_t actual_start =
       std::clamp<std::ptrdiff_t>(want_start, 0,
-                                 static_cast<std::ptrdiff_t>(reference_.frames()));
+                                 static_cast<std::ptrdiff_t>(ref_->frames()));
+  const auto b_start = static_cast<std::size_t>(actual_start);
 
   // Bias center: the score index that corresponds to keeping the previous
   // displacement (j = n_ext when no clamping occurred).
@@ -132,7 +142,7 @@ bool DwmSynchronizer::process_next_window() {
   // downstream.  Hold the previous low-frequency estimate instead and tag
   // the window invalid so the comparator/discriminator can skip it.
   if (nsync::signal::degenerate_window(a_win) ||
-      nsync::signal::degenerate_window(b_ext)) {
+      ref_->degenerate(b_start, b_start + b_ext.frames())) {
     result_.h_disp.push_back(h_disp_low_prev_);
     result_.h_disp_low.push_back(h_disp_low_prev_);
     result_.h_dist.push_back(std::abs(h_disp_low_prev_));
@@ -140,9 +150,12 @@ bool DwmSynchronizer::process_next_window() {
     return true;
   }
 
-  const std::size_t j = estimate_delay_biased(b_ext, a_win, center,
-                                              params_.n_sigma, params_.tde,
-                                              tde_ws_);
+  const std::size_t j =
+      params_.tde.use_fft
+          ? estimate_delay_biased(*ref_, b_start, b_ext.frames(), a_win,
+                                  center, params_.n_sigma, tde_ws_)
+          : estimate_delay_biased(b_ext, a_win, center, params_.n_sigma,
+                                  params_.tde, tde_ws_);
 
   // h_disp[i] = (position of the matched window in b) - (position in a).
   const double h_disp = static_cast<double>(
@@ -164,12 +177,10 @@ bool DwmSynchronizer::process_next_window() {
 void DwmSynchronizer::save_state(nsync::signal::ByteWriter& w) const {
   // Reference fingerprint: enough to reject a restore against a different
   // reference without storing the (potentially large) signal twice.
-  w.pod<std::uint64_t>(reference_.frames());
-  w.pod<std::uint64_t>(reference_.channels());
-  w.pod<double>(reference_.sample_rate());
-  w.pod<std::uint32_t>(nsync::signal::crc32(
-      reference_.data(),
-      reference_.frames() * reference_.channels() * sizeof(double)));
+  w.pod<std::uint64_t>(ref_->frames());
+  w.pod<std::uint64_t>(ref_->channels());
+  w.pod<double>(ref_->signal().sample_rate());
+  w.pod<std::uint32_t>(ref_->fingerprint());
   // Parameter fingerprint.
   w.pod<std::uint64_t>(params_.n_win);
   w.pod<std::uint64_t>(params_.n_hop);
@@ -194,13 +205,9 @@ void DwmSynchronizer::restore_state(nsync::signal::ByteReader& r) {
   const auto ref_channels = r.pod<std::uint64_t>();
   const auto ref_rate = r.pod<double>();
   const auto ref_crc = r.pod<std::uint32_t>();
-  if (ref_frames != reference_.frames() ||
-      ref_channels != reference_.channels() ||
-      ref_rate != reference_.sample_rate() ||
-      ref_crc != nsync::signal::crc32(reference_.data(),
-                                      reference_.frames() *
-                                          reference_.channels() *
-                                          sizeof(double))) {
+  if (ref_frames != ref_->frames() || ref_channels != ref_->channels() ||
+      ref_rate != ref_->signal().sample_rate() ||
+      ref_crc != ref_->fingerprint()) {
     throw CheckpointError(CheckpointErrorKind::kMismatch,
                           "DwmSynchronizer: checkpoint was taken against a "
                           "different reference signal");
@@ -219,8 +226,8 @@ void DwmSynchronizer::restore_state(nsync::signal::ByteReader& r) {
                           "different DWM parameters");
   }
 
-  nsync::signal::FrameRingBuffer observed(reference_.channels(),
-                                          reference_.sample_rate());
+  nsync::signal::FrameRingBuffer observed(ref_->channels(),
+                                          ref_->signal().sample_rate());
   observed.restore_state(r);
   DwmResult result;
   result.h_disp = r.f64_array();

@@ -16,8 +16,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "core/reference.hpp"
 #include "core/tde.hpp"
 #include "signal/ring_buffer.hpp"
 #include "signal/signal.hpp"
@@ -65,9 +67,13 @@ struct DwmResult {
   std::vector<std::uint8_t> valid; ///< 1 = window scored, 0 = degenerate
 };
 
-/// Streaming DWM.  Owns a copy of the reference and consumes observed
-/// frames incrementally; results for completed windows are available
-/// immediately after each push.
+/// Streaming DWM.  Holds the interned reference (shared with every other
+/// synchronizer tracking the same reference at the same n_win) and
+/// consumes observed frames incrementally; results for completed windows
+/// are available immediately after each push.  With tde.use_fft (the
+/// default) each window's TDEB reads the reference side from the shared
+/// state (core/reference.hpp); use_fft = false keeps the naive per-window
+/// Pearson path on the reference slice.
 ///
 /// The observed stream is held in a drop-front FrameRingBuffer: at the
 /// start of every push, frames that no future (or in-flight) window can
@@ -77,9 +83,14 @@ struct DwmResult {
 /// steady state.
 class DwmSynchronizer {
  public:
-  /// `reference` is b; throws on invalid params / channel mismatch checks
-  /// happen at push time.
+  /// `reference` is b, interned by ReferenceState::intern; throws
+  /// std::invalid_argument on invalid params or a reference shorter than
+  /// n_win + 1 frames.  Channel mismatch checks happen at push time.
   DwmSynchronizer(nsync::signal::Signal reference, DwmParams params);
+  /// Same, from an already interned, non-null reference (its n_win must
+  /// equal params.n_win).
+  DwmSynchronizer(std::shared_ptr<const ReferenceState> reference,
+                  DwmParams params);
 
   /// Appends observed frames (channel count must match the reference) and
   /// processes every window that became complete.  Returns the number of
@@ -107,8 +118,11 @@ class DwmSynchronizer {
   [[nodiscard]] const DwmResult& result() const { return result_; }
   [[nodiscard]] const DwmParams& params() const { return params_; }
   [[nodiscard]] const nsync::signal::Signal& reference() const {
-    return reference_;
+    return ref_->signal();
   }
+  /// The shared reference state (signal, fingerprint, precomputed TDEB
+  /// reference side).
+  [[nodiscard]] const ReferenceState& reference_state() const { return *ref_; }
   /// The retained suffix of the observed stream.  Frames are addressed by
   /// their logical stream index (observed().view(n1, n2)); indices below
   /// observed().start() have been dropped.
@@ -120,7 +134,8 @@ class DwmSynchronizer {
   /// result arrays, the inertial tracker — plus fingerprints of the
   /// reference and parameters (checkpointing).  The reference itself is
   /// not stored; the restoring synchronizer must be constructed with the
-  /// same reference, which the fingerprint enforces.
+  /// same reference, which the fingerprint (the interned CRC-32, computed
+  /// once per reference) enforces.
   void save_state(nsync::signal::ByteWriter& w) const;
   /// Restores state written by save_state.  Throws CheckpointError:
   /// kMismatch when the fingerprints disagree with this synchronizer's
@@ -136,8 +151,8 @@ class DwmSynchronizer {
  private:
   bool process_next_window();
 
-  nsync::signal::Signal reference_;          // b
-  nsync::signal::FrameRingBuffer observed_;  // sliding suffix of a
+  std::shared_ptr<const ReferenceState> ref_;  // b, shared
+  nsync::signal::FrameRingBuffer observed_;    // sliding suffix of a
   DwmParams params_;
   DwmResult result_;
   TdeWorkspace tde_ws_;           // reused by every window's TDEB call

@@ -21,24 +21,33 @@ std::string sync_method_name(SyncMethod m) {
   return "unknown";
 }
 
-NsyncIds::NsyncIds(Signal reference, NsyncConfig config)
-    : reference_(std::move(reference)), config_(config) {
-  if (reference_.frames() == 0) {
+NsyncIds::NsyncIds(Signal reference, NsyncConfig config) : config_(config) {
+  if (reference.frames() == 0) {
     throw std::invalid_argument("NsyncIds: empty reference signal");
-  }
-  if (config_.sync == SyncMethod::kDwm) {
-    config_.dwm.validate();
   }
   if (config_.sync == SyncMethod::kDtw && config_.dtw_radius == 0) {
     throw std::invalid_argument("NsyncIds: dtw_radius must be >= 1");
+  }
+  if (config_.sync == SyncMethod::kDwm) {
+    config_.dwm.validate();
+    if (reference.frames() < config_.dwm.n_win + 1) {
+      throw std::invalid_argument(
+          "NsyncIds: reference shorter than one DWM window");
+    }
+    // Interned once here, so analyze() reuses the shared reference state
+    // instead of re-interning a copy per observed signal.
+    dwm_ref_ = ReferenceState::intern(std::move(reference), config_.dwm.n_win);
+  } else {
+    reference_ = std::move(reference);
   }
 }
 
 Analysis NsyncIds::analyze(const SignalView& observed) const {
   Analysis a;
   if (config_.sync == SyncMethod::kDwm) {
-    const DwmResult r =
-        DwmSynchronizer::align(observed, reference_, config_.dwm);
+    DwmSynchronizer sync(dwm_ref_, config_.dwm);
+    sync.push(observed);
+    const DwmResult& r = sync.result();
     a.h_disp = r.h_disp;
     // Batch analysis is literally a replay of the streaming DetectionCore
     // over the synchronizer's windows: one implementation of scoring,
@@ -52,7 +61,7 @@ Analysis NsyncIds::analyze(const SignalView& observed) const {
       const SignalView a_win =
           observed.slice(a_start, a_start + config_.dwm.n_win);
       core.step(r.h_disp[i], r.valid.empty() || r.valid[i] != 0, a_win,
-                reference_);
+                *dwm_ref_);
     }
     a.v_dist = core.v_dist();
     a.valid = core.valid();
@@ -137,7 +146,7 @@ std::size_t RealtimeMonitor::push(const SignalView& frames) {
     const std::size_t a_start = i * config_.dwm.n_hop;
     const SignalView a_win = a.view(a_start, a_start + config_.dwm.n_win);
     const bool ok = core_.step(r.h_disp[i], r.valid.empty() || r.valid[i] != 0,
-                               a_win, sync_.reference());
+                               a_win, sync_.reference_state());
     health_.observe(ok);
     // Benign-baseline accumulation, gated per window: only a valid window
     // on a healthy channel with no latched intrusion may raise the benign

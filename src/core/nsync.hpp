@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "core/dtw.hpp"
 #include "core/dwm.hpp"
 #include "core/health.hpp"
+#include "core/reference.hpp"
 #include "signal/signal.hpp"
 
 namespace nsync::core {
@@ -96,11 +98,12 @@ class NsyncIds {
   [[nodiscard]] bool trained() const { return trained_; }
   [[nodiscard]] const NsyncConfig& config() const { return config_; }
   [[nodiscard]] const nsync::signal::Signal& reference() const {
-    return reference_;
+    return dwm_ref_ ? dwm_ref_->signal() : reference_;
   }
 
  private:
-  nsync::signal::Signal reference_;
+  nsync::signal::Signal reference_;  // DTW only
+  std::shared_ptr<const ReferenceState> dwm_ref_;  // DWM only (interned)
   NsyncConfig config_;
   Thresholds thresholds_;
   bool trained_ = false;

@@ -38,6 +38,31 @@ std::span<const double> channel_span(const SignalView& s, std::size_t c,
   return buf;
 }
 
+// FFT-branch numerator for every channel at once: the lane-interleaved,
+// zero-padded x_pad and y_pad (centered y time-reversed) go through one
+// BatchedRfftPlan pass each, and the correlation lands back in x_pad
+// (lag ny - 1 + n at row ny - 1 + n).
+void fft_numerator(std::size_t m, std::size_t C, TdeWorkspace& ws) {
+  const auto& k = simd::ops();
+  const std::size_t bins = m / 2 + 1;
+  if (!ws.batched.plan || ws.batched.plan->size() != m ||
+      ws.batched.plan->lanes() != C) {
+    ws.batched.plan = std::make_unique<nsync::dsp::BatchedRfftPlan>(m, C);
+  }
+  ws.spec_x_re.resize(bins * C);
+  ws.spec_x_im.resize(bins * C);
+  ws.spec_y_re.resize(bins * C);
+  ws.spec_y_im.resize(bins * C);
+  ws.batched.plan->forward_interleaved(ws.x_pad.data(), ws.spec_x_re.data(),
+                                       ws.spec_x_im.data());
+  ws.batched.plan->forward_interleaved(ws.y_pad.data(), ws.spec_y_re.data(),
+                                       ws.spec_y_im.data());
+  k.cmul_split_inplace(ws.spec_x_re.data(), ws.spec_x_im.data(),
+                       ws.spec_y_re.data(), ws.spec_y_im.data(), bins * C);
+  ws.batched.plan->inverse_interleaved(ws.spec_x_re.data(),
+                                       ws.spec_x_im.data(), ws.x_pad.data());
+}
+
 // All channels of the sliding correlation in one pass.
 //
 // This mirrors sliding_pearson_fft_into channel by channel — same
@@ -112,23 +137,7 @@ void similarity_scores_batched(const SignalView& x, const SignalView& y,
     }
     num = ws.num.data();
   } else {
-    const std::size_t bins = m / 2 + 1;
-    if (!ws.batched.plan || ws.batched.plan->size() != m ||
-        ws.batched.plan->lanes() != C) {
-      ws.batched.plan = std::make_unique<nsync::dsp::BatchedRfftPlan>(m, C);
-    }
-    ws.spec_x_re.resize(bins * C);
-    ws.spec_x_im.resize(bins * C);
-    ws.spec_y_re.resize(bins * C);
-    ws.spec_y_im.resize(bins * C);
-    ws.batched.plan->forward_interleaved(ws.x_pad.data(), ws.spec_x_re.data(),
-                                         ws.spec_x_im.data());
-    ws.batched.plan->forward_interleaved(ws.y_pad.data(), ws.spec_y_re.data(),
-                                         ws.spec_y_im.data());
-    k.cmul_split_inplace(ws.spec_x_re.data(), ws.spec_x_im.data(),
-                         ws.spec_y_re.data(), ws.spec_y_im.data(), bins * C);
-    ws.batched.plan->inverse_interleaved(
-        ws.spec_x_re.data(), ws.spec_x_im.data(), ws.x_pad.data());
+    fft_numerator(m, C, ws);
     num = ws.x_pad.data() + (ny - 1) * C;
   }
 
@@ -151,7 +160,138 @@ void similarity_scores_batched(const SignalView& x, const SignalView& y,
   k.scale(ws.scores.data(), 1.0 / static_cast<double>(C), n_out);
 }
 
+// Fused TDEB epilogue: clamp + Gaussian bias + argmax through the
+// dispatched kernel.
+//
+// Multiplying a negative score by a small Gaussian weight would *raise*
+// it toward zero, perversely rewarding far-from-center anti-correlated
+// placements.  A negative correlation is never a candidate match, so
+// the kernel clamps to zero before applying the bias.  The per-element
+// arithmetic (max, then exp-weight multiply) matches the allocating
+// bias_scores path exactly, and the argmax keeps std::max_element's
+// first-occurrence semantics, so the result is bitwise identical.
+//
+// The exp() weights are the expensive part and depend only on
+// (center, sigma, n_out), so they are cached in the workspace and
+// reused verbatim while those stay unchanged.  The DWM's center is
+// n_ext on every window whose extended reference slice is not clamped
+// at either end of the reference, so its steady state hits the cache;
+// a clamped window changes center or n_out and recomputes.
+std::size_t biased_argmax(std::span<const double> scores, double center,
+                          double sigma_samples, TdeWorkspace& ws) {
+  const std::size_t n_out = scores.size();
+  if (ws.bias_w.size() != n_out || ws.bias_center != center ||
+      ws.bias_sigma != sigma_samples) {
+    ws.bias_w.resize(n_out);
+    for (std::size_t j = 0; j < n_out; ++j) {
+      const double d = (static_cast<double>(j) - center) / sigma_samples;
+      ws.bias_w[j] = std::exp(-0.5 * d * d);
+    }
+    ws.bias_center = center;
+    ws.bias_sigma = sigma_samples;
+  }
+  return simd::ops().clamp_weight_argmax(scores.data(), ws.bias_w.data(),
+                                         n_out);
+}
+
+void check_sigma(double sigma_samples) {
+  if (sigma_samples <= 0.0) {
+    throw std::invalid_argument("bias_scores: sigma must be positive");
+  }
+}
+
 }  // namespace
+
+// The observed side runs the same kernels as similarity_scores_batched;
+// the reference side is read from the interned state.
+std::span<const double> similarity_scores_into(const ReferenceState& x,
+                                               std::size_t x_start,
+                                               std::size_t nx,
+                                               const SignalView& y,
+                                               TdeWorkspace& ws) {
+  if (y.channels() != x.channels()) {
+    throw std::invalid_argument("similarity_scores: channel mismatch");
+  }
+  if (y.frames() != x.n_win() || y.frames() < 2 || nx < y.frames() ||
+      x_start > x.frames() || nx > x.frames() - x_start) {
+    throw std::invalid_argument(
+        "similarity_scores: need 2 <= y.frames() == n_win <= nx and the "
+        "slice inside the reference");
+  }
+  const auto& k = simd::ops();
+  const std::size_t C = x.channels();
+  const std::size_t ny = y.frames();
+  const std::size_t n_out = nx - ny + 1;
+  const bool direct = nsync::dsp::direct_xcorr_wins(nx, ny);
+
+  ws.mu_y.resize(C);
+  k.channel_sums(y.data(), ny, C, ws.mu_y.data());
+  for (auto& v : ws.mu_y) v /= static_cast<double>(ny);
+  const std::size_t m = direct ? 0 : nsync::dsp::valid_lag_fft_size(nx);
+  if (direct) {
+    ws.y_pad.resize(ny * C);
+  } else {
+    ws.y_pad.assign(m * C, 0.0);
+  }
+  ws.y_energy.assign(C, 0.0);
+  k.center_rows_reversed_energy(y.data(), ny, C, ws.mu_y.data(),
+                                ws.y_pad.data(), ws.y_energy.data());
+
+  // Numerator of window n, channel c: num[n * n_step + c * c_step].
+  const double* num = nullptr;
+  std::size_t n_step = 0;
+  std::size_t c_step = 0;
+  if (direct) {
+    ws.y_chan.resize(ny);
+    ws.num.resize(n_out * C);
+    for (std::size_t c = 0; c < C; ++c) {
+      for (std::size_t i = 0; i < ny; ++i) {
+        ws.y_chan[i] = ws.y_pad[(ny - 1 - i) * C + c];
+      }
+      k.xcorr_valid_direct(x.centered(c).data() + x_start, ws.y_chan.data(),
+                           ny, ws.num.data() + c * n_out, n_out);
+    }
+    num = ws.num.data();
+    n_step = 1;
+    c_step = n_out;
+  } else {
+    ws.x_pad.assign(m * C, 0.0);
+    for (std::size_t c = 0; c < C; ++c) {
+      const double* xc = x.centered(c).data() + x_start;
+      for (std::size_t i = 0; i < nx; ++i) ws.x_pad[i * C + c] = xc[i];
+    }
+    fft_numerator(m, C, ws);
+    num = ws.x_pad.data() + (ny - 1) * C;
+    n_step = C;
+    c_step = 1;
+  }
+
+  // Pearson per placement: numerator * inv_std(x window) / ||y||.  The
+  // stored inverse std is 0 on degenerate windows, which score 0.
+  ws.scores.assign(n_out, 0.0);
+  for (std::size_t c = 0; c < C; ++c) {
+    const double y_norm = std::sqrt(ws.y_energy[c]);
+    if (!(y_norm > 0.0) || !std::isfinite(y_norm)) continue;  // scores 0
+    const double inv_y = 1.0 / y_norm;
+    const double* inv_x = x.inv_std(c).data() + x_start;
+    const double* num_c = num + c * c_step;
+    for (std::size_t n = 0; n < n_out; ++n) {
+      const double r = num_c[n * n_step] * inv_x[n] * inv_y;
+      ws.scores[n] += std::isfinite(r) ? r : 0.0;
+    }
+  }
+  k.scale(ws.scores.data(), 1.0 / static_cast<double>(C), n_out);
+  return ws.scores;
+}
+
+std::size_t estimate_delay_biased(const ReferenceState& x,
+                                  std::size_t x_start, std::size_t nx,
+                                  const SignalView& y, double center,
+                                  double sigma_samples, TdeWorkspace& ws) {
+  check_sigma(sigma_samples);
+  return biased_argmax(similarity_scores_into(x, x_start, nx, y, ws), center,
+                       sigma_samples, ws);
+}
 
 std::span<const double> similarity_scores_into(const SignalView& x,
                                                const SignalView& y,
@@ -195,9 +335,7 @@ std::size_t estimate_delay(const SignalView& x, const SignalView& y,
 
 std::vector<double> bias_scores(std::vector<double> scores, double center,
                                 double sigma_samples) {
-  if (sigma_samples <= 0.0) {
-    throw std::invalid_argument("bias_scores: sigma must be positive");
-  }
+  check_sigma(sigma_samples);
   for (std::size_t j = 0; j < scores.size(); ++j) {
     const double d = (static_cast<double>(j) - center) / sigma_samples;
     scores[j] *= std::exp(-0.5 * d * d);
@@ -215,40 +353,9 @@ std::size_t estimate_delay_biased(const SignalView& x, const SignalView& y,
 std::size_t estimate_delay_biased(const SignalView& x, const SignalView& y,
                                   double center, double sigma_samples,
                                   const TdeOptions& opts, TdeWorkspace& ws) {
-  if (sigma_samples <= 0.0) {
-    throw std::invalid_argument("bias_scores: sigma must be positive");
-  }
-  const auto scores = similarity_scores_into(x, y, opts, ws);
-  // Fused epilogue: clamp + Gaussian bias + argmax through the
-  // dispatched kernel.
-  //
-  // Multiplying a negative score by a small Gaussian weight would *raise*
-  // it toward zero, perversely rewarding far-from-center anti-correlated
-  // placements.  A negative correlation is never a candidate match, so
-  // the kernel clamps to zero before applying the bias.  The per-element
-  // arithmetic (max, then exp-weight multiply) matches the allocating
-  // bias_scores path exactly, and the argmax keeps std::max_element's
-  // first-occurrence semantics, so the result is bitwise identical.
-  //
-  // The exp() weights are the expensive part and depend only on
-  // (center, sigma, n_out), so they are cached in the workspace and
-  // reused verbatim while those stay unchanged.  The DWM's center is
-  // n_ext on every window whose extended reference slice is not clamped
-  // at either end of the reference, so its steady state hits the cache;
-  // a clamped window changes center or n_out and recomputes.
-  const std::size_t n_out = scores.size();
-  if (ws.bias_w.size() != n_out || ws.bias_center != center ||
-      ws.bias_sigma != sigma_samples) {
-    ws.bias_w.resize(n_out);
-    for (std::size_t j = 0; j < n_out; ++j) {
-      const double d = (static_cast<double>(j) - center) / sigma_samples;
-      ws.bias_w[j] = std::exp(-0.5 * d * d);
-    }
-    ws.bias_center = center;
-    ws.bias_sigma = sigma_samples;
-  }
-  return simd::ops().clamp_weight_argmax(scores.data(), ws.bias_w.data(),
-                                         n_out);
+  check_sigma(sigma_samples);
+  return biased_argmax(similarity_scores_into(x, y, opts, ws), center,
+                       sigma_samples, ws);
 }
 
 }  // namespace nsync::core

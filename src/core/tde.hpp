@@ -14,7 +14,9 @@
 // print) performs no heap allocation and fuses score accumulation, the
 // negative-score clamp, the Gaussian bias and the argmax into a single
 // pass with no intermediate vectors.  Both tiers produce bitwise
-// identical results.
+// identical results.  The DWM itself calls a third, reference-side
+// overload that reads x's centering and windowed normalization from an
+// interned ReferenceState instead of recomputing them every window.
 #ifndef NSYNC_CORE_TDE_HPP
 #define NSYNC_CORE_TDE_HPP
 
@@ -23,6 +25,7 @@
 #include <span>
 #include <vector>
 
+#include "core/reference.hpp"
 #include "dsp/batched_fft.hpp"
 #include "dsp/xcorr.hpp"
 #include "signal/signal.hpp"
@@ -77,7 +80,8 @@ struct TdeWorkspace {
   std::vector<double> spec_x_im;
   std::vector<double> spec_y_re;
   std::vector<double> spec_y_im;
-  std::vector<double> num;  ///< direct-branch numerators (row-interleaved)
+  std::vector<double> num;  ///< direct-branch numerators (row-interleaved;
+                            ///< channel-major on the reference side)
   std::vector<double> ps;   ///< per-channel prefix sums (row-interleaved)
   std::vector<double> ps2;  ///< per-channel prefix sums of squares
 
@@ -129,6 +133,28 @@ std::size_t estimate_delay_biased(const nsync::signal::SignalView& x,
                                   const nsync::signal::SignalView& y,
                                   double center, double sigma_samples,
                                   const TdeOptions& opts, TdeWorkspace& ws);
+
+/// Reference-side variant, the DWM's per-window path: x is frames
+/// [x_start, x_start + nx) of an interned reference, whose centered
+/// channels and windowed inverse standard deviations were computed once
+/// (core/reference.hpp), so only the observed window y is centered here;
+/// the numerator follows dsp::direct_xcorr_wins like the generic path,
+/// and each placement is normalized by multiplying with the stored
+/// inverse std.  Requires y.frames() == x.n_win() >= 2, matching channel
+/// counts and nx >= y.frames(); throws std::invalid_argument otherwise.
+/// Scores agree with similarity_scores on the same slice to rounding
+/// (tests/test_reference.cpp); bitwise identical across SIMD backends.
+std::span<const double> similarity_scores_into(
+    const ReferenceState& x, std::size_t x_start, std::size_t nx,
+    const nsync::signal::SignalView& y, TdeWorkspace& ws);
+
+/// TDEB over the reference-side scores, with the same fused
+/// clamp/bias/argmax epilogue as the generic workspace overload.
+std::size_t estimate_delay_biased(const ReferenceState& x,
+                                  std::size_t x_start, std::size_t nx,
+                                  const nsync::signal::SignalView& y,
+                                  double center, double sigma_samples,
+                                  TdeWorkspace& ws);
 
 }  // namespace nsync::core
 

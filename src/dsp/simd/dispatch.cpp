@@ -73,7 +73,17 @@ const Ops& ops() { return *active_slot().load(std::memory_order_acquire); }
 
 Isa active_isa() { return ops().isa; }
 
-const char* isa_name(Isa isa) { return table_for(isa)->name; }
+// A plain switch, not table_for(isa)->name: the tables fall back to
+// scalar for a backend that is not compiled in, and a name must not.
+const char* isa_name(Isa isa) {
+  switch (isa) {
+    case Isa::kScalar:
+      return "scalar";
+    case Isa::kAvx2:
+      return "avx2";
+  }
+  return "unknown";
+}
 
 Isa best_supported_isa() {
 #if defined(NSYNC_SIMD_HAVE_AVX2)

@@ -13,18 +13,20 @@ namespace nsync::engine {
 
 using nsync::signal::SignalView;
 
-MonitorEngine::Channel::Channel(std::string channel_name,
-                                const ChannelSpec& spec)
-    : name(std::move(channel_name)),
-      monitor(spec.reference, spec.config, spec.thresholds),
-      staging(spec.reference.channels(), spec.reference.sample_rate()) {
+MonitorEngine::Channel::Channel(ChannelSpec&& spec)
+    : name(std::move(spec.name)),
+      // The monitor interns the reference: a session admitted with a
+      // reference another live session already uses shares that one.
+      monitor(std::move(spec.reference), spec.config, spec.thresholds),
+      staging(monitor.reference().channels(),
+              monitor.reference().sample_rate()) {
   // Size everything for the full print up front: the reference bounds how
   // many windows DWM can ever produce, so the steady-state feed/poll loop
   // allocates nothing.
   const auto& dwm = spec.config.dwm;
-  if (spec.reference.frames() >= dwm.n_win) {
-    monitor.reserve_windows((spec.reference.frames() - dwm.n_win) / dwm.n_hop +
-                            1);
+  const std::size_t ref_frames = monitor.reference().frames();
+  if (ref_frames >= dwm.n_win) {
+    monitor.reserve_windows((ref_frames - dwm.n_win) / dwm.n_hop + 1);
   }
 }
 
@@ -73,7 +75,7 @@ std::size_t MonitorEngine::add_session(SessionSpec spec) {
             "MonitorEngine::add_session: duplicate channel '" + c.name + "'");
       }
     }
-    s->channels.emplace_back(c.name, c);
+    s->channels.emplace_back(std::move(c));
   }
   sessions_.push_back(std::move(s));
   return sessions_.size() - 1;

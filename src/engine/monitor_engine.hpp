@@ -241,7 +241,7 @@ class MonitorEngine {
     core::RealtimeMonitor monitor;
     nsync::signal::FrameRingBuffer staging;
 
-    Channel(std::string channel_name, const ChannelSpec& spec);
+    explicit Channel(ChannelSpec&& spec);
   };
 
   struct Session {

@@ -165,4 +165,24 @@ std::vector<double> sliding_pearson_fft_complex(std::span<const double> x,
   return out;
 }
 
+std::vector<double> windowed_variance_two_pass(std::span<const double> x,
+                                               std::size_t n_win) {
+  if (n_win == 0 || n_win > x.size()) {
+    throw std::invalid_argument(
+        "windowed_variance_two_pass: need 1 <= n_win <= x.size()");
+  }
+  std::vector<double> out(x.size() - n_win + 1);
+  for (std::size_t s = 0; s < out.size(); ++s) {
+    double mean = 0.0;
+    for (std::size_t k = s; k < s + n_win; ++k) mean += x[k];
+    mean /= static_cast<double>(n_win);
+    double var = 0.0;
+    for (std::size_t k = s; k < s + n_win; ++k) {
+      var += (x[k] - mean) * (x[k] - mean);
+    }
+    out[s] = std::isfinite(var) ? var : std::nan("");
+  }
+  return out;
+}
+
 }  // namespace nsync::dsp

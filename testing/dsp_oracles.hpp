@@ -41,6 +41,14 @@ void fft_radix2_uncached(std::span<Complex> data, bool inverse = false);
 [[nodiscard]] std::vector<double> sliding_pearson_fft_complex(
     std::span<const double> x, std::span<const double> y);
 
+/// Variance sum of every n_win-sample window, v[s] = sum over
+/// x[s .. s+n_win) of (x - window mean)^2 for s = 0 .. x.size() - n_win,
+/// by two passes per window (mean, then squared deviations): the oracle
+/// for core::ReferenceState::inv_std.  NaN for a window holding a
+/// non-finite sample.  Requires 1 <= n_win <= x.size().
+[[nodiscard]] std::vector<double> windowed_variance_two_pass(
+    std::span<const double> x, std::size_t n_win);
+
 }  // namespace nsync::dsp
 
 #endif  // NSYNC_TESTING_DSP_ORACLES_HPP

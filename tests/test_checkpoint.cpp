@@ -839,6 +839,47 @@ TEST_F(CheckpointFleetTest, RealtimeMonitorContinuesBitwise) {
   EXPECT_EQ(d.windows(), 0u);  // unchanged by the failed restore
 }
 
+TEST_F(CheckpointFleetTest, DwmFingerprintBytesAndOneSampleMismatch) {
+  // The synchronizer's fingerprint section: the same bytes as computed
+  // from the reference directly (frames, channels, rate, CRC-32 of the
+  // samples, then the DWM parameters), now read from the interned
+  // reference instead of recomputed per checkpoint.
+  core::DwmSynchronizer sync(reference_, cfg_.dwm);
+  sync.push(SignalView(streams_[0][0]).slice(0, 500));
+  ByteWriter w;
+  sync.save_state(w);
+  ByteWriter expect;
+  expect.pod<std::uint64_t>(reference_.frames());
+  expect.pod<std::uint64_t>(reference_.channels());
+  expect.pod<double>(reference_.sample_rate());
+  expect.pod<std::uint32_t>(signal::crc32(
+      reference_.data(),
+      reference_.frames() * reference_.channels() * sizeof(double)));
+  expect.pod<std::uint64_t>(cfg_.dwm.n_win);
+  expect.pod<std::uint64_t>(cfg_.dwm.n_hop);
+  expect.pod<std::uint64_t>(cfg_.dwm.n_ext);
+  expect.pod<double>(cfg_.dwm.n_sigma);
+  expect.pod<double>(cfg_.dwm.eta);
+  expect.pod<std::uint8_t>(cfg_.dwm.tde.use_fft ? 1 : 0);
+  ASSERT_GE(w.data().size(), expect.data().size());
+  EXPECT_TRUE(std::equal(expect.data().begin(), expect.data().end(),
+                         w.data().begin()));
+
+  // A reference that differs in one sample (same shape and rate) must
+  // still be rejected, and the target left untouched.
+  Signal tweaked = reference_;
+  tweaked(600, 1) = std::nextafter(tweaked(600, 1), 1e300);
+  core::DwmSynchronizer other(tweaked, cfg_.dwm);
+  ByteReader r(w.data());
+  try {
+    other.restore_state(r);
+    FAIL() << "one-sample reference mismatch accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.kind(), CheckpointErrorKind::kMismatch);
+  }
+  EXPECT_EQ(other.windows(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // The headline property: kill + restore + replay == uninterrupted
 

@@ -124,6 +124,13 @@ TEST(SimdDispatch, ResolvedBackendMatchesHost) {
   }
 }
 
+TEST(SimdDispatch, IsaNamesDoNotDependOnCompiledBackends) {
+  // A backend that is not compiled in (NSYNC_ENABLE_SIMD=OFF) still has
+  // its own name; only its kernel table falls back to scalar.
+  EXPECT_STREQ(simd::isa_name(simd::Isa::kAvx2), "avx2");
+  EXPECT_STREQ(simd::isa_name(simd::Isa::kScalar), "scalar");
+}
+
 TEST(SimdDispatch, SetBackendSwitchesAndRejectsUnavailable) {
   BackendGuard guard;
   ASSERT_TRUE(simd::set_backend(simd::Isa::kScalar));
